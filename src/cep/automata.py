@@ -151,12 +151,6 @@ class WeightedAutomaton:
             key=lambda item: item[0].sort_key(),
         )
 
-    def letters_from(self, state: State) -> list[Letter]:
-        return sorted(
-            {letter for (src, letter) in self.transitions if src == state},
-            key=Letter.sort_key,
-        )
-
     def transition_triples(self):
         """(src, letter, dst, weight) tuples in canonical order."""
         out = []
@@ -206,13 +200,6 @@ def _letter_alphabet(proof: Proof) -> frozenset[Letter]:
                 Letter.value_pair(proof.equated_ants(node_id, con), con)
             )
     return frozenset(letters)
-
-
-def _node_weight(proof: Proof, side: str, src: State, dst: State) -> Ordinal:
-    if src.kind == NODE_VALUE and dst.kind == NODE_VALUE:
-        pairs = proof.pairs(src.node, dst.node, side)
-        return pairs.get((src.value, dst.value), ZERO)
-    return ZERO
 
 
 class _Builder:

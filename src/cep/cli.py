@@ -103,7 +103,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_soundness(args) -> tuple[int, dict, list[str]]:
     proof = load_proof(args.file)
-    report = check_global_soundness(proof, jobs=args.jobs)
+    report = check_global_soundness(proof)
     payload = {"verdict": report.verdict}
     human = [f"global soundness: {report.verdict}"]
     if report.witness is not None:
@@ -238,7 +238,6 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
         engine=args.engine,
         lag_cap=args.lag_cap,
         oracle_len=args.oracle_len,
-        jobs=args.jobs,
     )
     payload = verdict.to_json()
     rel = "<" if args.strict else "<="
@@ -302,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_query=False):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--jobs", type=int, default=1, help="worker count")
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         p.add_argument(
             "--timing", action="store_true", help="include wall-clock timing"
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .automata import Letter, State, WeightedAutomaton, language_value
+from .automata import Letter, State, WeightedAutomaton, _letter_to_json, language_value
 from .ordinal import TropicalWeight
 
 log = logging.getLogger("cep.containment")
@@ -54,10 +54,7 @@ class ContainmentVerdict:
     def to_json(self) -> dict:
         word = None
         if self.counterexample is not None:
-            word = [
-                {"node": l.node} if l.is_node else {"ants": list(l.ants), "con": l.con}
-                for l in self.counterexample
-            ]
+            word = [_letter_to_json(l) for l in self.counterexample]
         return {
             "status": self.status,
             "strict": self.strict,

@@ -79,9 +79,7 @@ class OracleOutcome:
         return self.counterexample is None
 
 
-def applicability_gates(
-    proof: Proof, query: TracePairQuery, jobs: int = 1
-) -> list[dict] | None:
+def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | None:
     """None when the query is in the regime the decision covers, else the
     failed gates as structured reasons."""
     query.check(proof)
@@ -100,7 +98,7 @@ def applicability_gates(
             }
         )
         return reasons
-    soundness = check_global_soundness(proof, jobs=jobs)
+    soundness = check_global_soundness(proof)
     if not soundness.sound:
         reasons.append(
             {
@@ -148,10 +146,9 @@ def decide_order(
     engine: str = "lagset",
     lag_cap: int | None = None,
     oracle_len: int = 12,
-    jobs: int = 1,
 ) -> OrderVerdict:
     relation = "lt" if strict else "leq"
-    gates = applicability_gates(proof, query, jobs=jobs)
+    gates = applicability_gates(proof, query)
     if gates is not None:
         return OrderVerdict(
             relation=relation, status=NOT_APPLICABLE, reasons=tuple(gates)
@@ -177,7 +174,6 @@ def decide_order(
     reasons.append({"stage": "thresholds", "ok": True, "n_bound": thresholds.n_bound})
 
     consequent = build_consequent(proof, query)
-    antecedent = build_antecedent_approx(proof, query, thresholds.n_bound)
     if not is_grounded(consequent, proof):
         reasons.append(
             {
@@ -193,6 +189,8 @@ def decide_order(
             thresholds=thresholds,
         )
     reasons.append({"stage": "groundedness", "ok": True})
+
+    antecedent = build_antecedent_approx(proof, query, thresholds.n_bound)
 
     if engine == "lagset":
         cap = lag_cap if lag_cap is not None else default_lag_cap(proof, thresholds)

@@ -25,7 +25,6 @@ __all__ = [
     "OMEGA",
     "TropicalWeight",
     "BOT",
-    "TROP_ZERO_ORD",
     "ord_add",
     "trop_oplus",
     "trop_otimes",
@@ -67,8 +66,13 @@ class Ordinal:
 
         Terms must appear with strictly decreasing exponents.  Terms with a
         zero coefficient (e.g. the trailing ``+0`` in ``w*1+0``) are
-        tolerated and dropped.
+        tolerated and dropped.  Anything but a string or a non-bool int
+        (a float, ``True``, a list) is rejected.
         """
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise OrdinalParseError(
+                f"ordinal literal must be a string or an int, got {text!r}"
+            )
         if isinstance(text, int):
             if text < 0:
                 raise OrdinalParseError(f"negative ordinal literal: {text}")
@@ -154,10 +158,6 @@ class TropicalWeight:
     value: Ordinal | None = None
 
     @classmethod
-    def of(cls, o: Ordinal) -> TropicalWeight:
-        return cls(o)
-
-    @classmethod
     def finite(cls, n: int) -> TropicalWeight:
         return cls(Ordinal.from_int(n))
 
@@ -189,7 +189,6 @@ class TropicalWeight:
 
 
 BOT = TropicalWeight(None)
-TROP_ZERO_ORD = TropicalWeight(ZERO)
 
 
 def trop_oplus(a: TropicalWeight, b: TropicalWeight) -> TropicalWeight:

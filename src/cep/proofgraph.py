@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .ordinal import Ordinal, OrdinalParseError
+from .ordinal import Ordinal
 
 __all__ = [
     "ProofParseError",
@@ -116,9 +116,6 @@ class Proof:
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
-    def node_ids(self) -> list[str]:
-        return sorted(self.nodes)
-
     def edges(self) -> list[tuple[str, str]]:
         """Distinct (parent, child) node pairs, sorted."""
         seen = set()
@@ -207,7 +204,7 @@ def parse_proof(source: bytes | str) -> Proof:
         source = source.decode("utf-8")
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise ProofParseError(f"malformed JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object", "$")
     unknown = set(doc) - _TOP_KEYS
@@ -301,10 +298,16 @@ def parse_proof(source: bytes | str) -> Proof:
         for key in _DELTA_KEYS:
             _expect(key in raw, f"missing key {key!r}", loc)
         parent = raw["from"]
+        _expect(isinstance(parent, str), "'from' must be a node id", f"{loc}.from")
         _expect(parent in nodes, f"dangling node reference {parent!r}", f"{loc}.from")
         idx = raw["child_index"]
         _expect(
-            isinstance(idx, int) and 0 <= idx < len(nodes[parent].children),
+            isinstance(idx, int) and not isinstance(idx, bool),
+            "child_index must be an integer",
+            f"{loc}.child_index",
+        )
+        _expect(
+            0 <= idx < len(nodes[parent].children),
             f"child_index {idx!r} out of range for {parent!r}",
             f"{loc}.child_index",
         )
@@ -323,6 +326,7 @@ def parse_proof(source: bytes | str) -> Proof:
             )
             src, dst, weight_raw = entry
             for v in (src, dst):
+                _expect(isinstance(v, str), "trace values must be strings", ploc)
                 _expect(
                     v in known_values,
                     f"dangling trace value reference {v!r}",
@@ -335,7 +339,7 @@ def parse_proof(source: bytes | str) -> Proof:
             )
             try:
                 weight = Ordinal.parse(weight_raw)
-            except (OrdinalParseError, TypeError) as exc:
+            except ValueError as exc:  # OrdinalParseError, or an over-long literal
                 raise ProofParseError(f"weight parse failure: {exc}", ploc) from exc
             pair_map[(src, dst)] = weight
         delta[key] = pair_map

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .proofgraph import LEFT, Proof
@@ -89,7 +88,7 @@ class SoundnessReport:
         return "sound" if self.sound else "unsound"
 
 
-def _closure(proof: Proof, jobs: int = 1):
+def _closure(proof: Proof):
     """All path composites of edge relations, each with one witness path.
 
     The worklist is processed in sorted order so the witness kept for each
@@ -106,28 +105,15 @@ def _closure(proof: Proof, jobs: int = 1):
         if key not in paths:
             paths[key] = (parent, child)
             queue.append(key)
-
-    def extend(item):
-        src, mid, rel = item
-        out = []
-        for child in sorted(proof.node(mid).children):
-            out.append((src, child, compose(rel, base[(mid, child)])))
-        return out
-
     while queue:
-        batch = [queue.popleft() for _ in range(len(queue))]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                produced = list(executor.map(extend, batch))
-        else:
-            produced = [extend(item) for item in batch]
-        for item, news in zip(batch, produced):
-            witness = paths[item]
-            for src, dst, rel in news:
-                key = (src, dst, rel)
-                if key not in paths:
-                    paths[key] = witness + (dst,)
-                    queue.append(key)
+        item = queue.popleft()
+        src, mid, rel = item
+        witness = paths[item]
+        for child in sorted(proof.node(mid).children):
+            key = (src, child, compose(rel, base[(mid, child)]))
+            if key not in paths:
+                paths[key] = witness + (child,)
+                queue.append(key)
     return paths
 
 
@@ -147,10 +133,10 @@ def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
     return (target,)  # cycle not reachable from the root; infinite paths exist anyway
 
 
-def check_global_soundness(proof: Proof, jobs: int = 1) -> SoundnessReport:
+def check_global_soundness(proof: Proof) -> SoundnessReport:
     """Verdict plus, when unsound, a lasso (prefix path, cycle path) on
     which no left-hand trace progresses infinitely often."""
-    paths = _closure(proof, jobs=jobs)
+    paths = _closure(proof)
     log.debug("composition closure: %d path relations", len(paths))
     bad = []
     for (src, dst, rel), witness in paths.items():

@@ -27,6 +27,26 @@ def proof_from_doc(doc: dict) -> Proof:
     return parse_proof(json.dumps(doc))
 
 
+def set_in(doc, path: tuple, value) -> None:
+    """Replace the value at ``path`` (a tuple of keys and indices)."""
+    for step in path[:-1]:
+        doc = doc[step]
+    doc[path[-1]] = value
+
+
+# Edits of loop2 that the parser must reject with a JSON-path location:
+# (case id, path of the edited value, new value, expected location).
+MALFORMED_LOOP2 = [
+    ("list_trace_value", ("delta", 0, "pairs", 0, 0), ["a"], "$.delta[0].pairs[0]"),
+    ("dict_trace_value", ("delta", 0, "pairs", 0, 1), {"v": "a"}, "$.delta[0].pairs[0]"),
+    ("list_from", ("delta", 0, "from"), ["n0"], "$.delta[0].from"),
+    ("float_weight", ("delta", 0, "pairs", 0, 2), 1.5, "$.delta[0].pairs[0]"),
+    ("bool_weight", ("delta", 0, "pairs", 0, 2), True, "$.delta[0].pairs[0]"),
+    ("overlong_weight", ("delta", 0, "pairs", 0, 2), "1" * 5000, "$.delta[0].pairs[0]"),
+    ("bool_child_index", ("delta", 4, "child_index"), True, "$.delta[4].child_index"),
+]
+
+
 @pytest.fixture(scope="session")
 def loop2() -> Proof:
     return load_fixture("loop2")

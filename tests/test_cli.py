@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from cep.cli import run_cli
-from conftest import fixture_path
+from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, set_in
 
 SCHEMA = json.loads(
     (FilePath(__file__).parent.parent / "src" / "cep" / "report_schema.json").read_text()
@@ -65,6 +65,19 @@ class TestExitCodes:
     def test_unknown_query_value(self, capsys):
         code = run_cli(["order", LOOP2, "--node", "n0", "--ant", "a", "--con", "zz"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [case[1:] for case in MALFORMED_LOOP2],
+        ids=[case[0] for case in MALFORMED_LOOP2],
+    )
+    def test_malformed_input_exits_2(self, capsys, tmp_path, path, value, location):
+        doc = fixture_doc("loop2")
+        set_in(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(bad), "--json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {location}: ")
 
     def test_validate(self, capsys):
         code, report = run_json(capsys, "validate", LOOP2)

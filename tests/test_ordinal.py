@@ -124,7 +124,9 @@ class TestParseRender:
     def test_parse_int(self):
         assert Ordinal.parse(4) == Ordinal.from_int(4)
 
-    @pytest.mark.parametrize("bad", ["w^w", "-1", "3+w", "w+w", "", "x", "w^"])
+    @pytest.mark.parametrize(
+        "bad", ["w^w", "-1", "3+w", "w+w", "", "x", "w^", 1.5, True, None, [1]]
+    )
     def test_rejects(self, bad):
         with pytest.raises(OrdinalParseError):
             Ordinal.parse(bad)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cep.cli import run_cli
 from cep.ordinal import ONE, ZERO, Ordinal
 from cep.proofgraph import (
     ProofParseError,
@@ -13,7 +18,13 @@ from cep.proofgraph import (
     terminal_values,
     validate,
 )
-from conftest import fixture_doc, proof_from_doc, random_proof
+from conftest import (
+    MALFORMED_LOOP2,
+    fixture_doc,
+    proof_from_doc,
+    random_proof,
+    set_in,
+)
 
 
 class TestParse:
@@ -89,11 +100,80 @@ class TestParse:
         with pytest.raises(ProofParseError, match="out of range"):
             proof_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [case[1:] for case in MALFORMED_LOOP2],
+        ids=[case[0] for case in MALFORMED_LOOP2],
+    )
+    def test_malformed_value_has_location(self, path, value, location):
+        doc = fixture_doc("loop2")
+        set_in(doc, path, value)
+        with pytest.raises(ProofParseError) as exc:
+            proof_from_doc(doc)
+        assert exc.value.location == location
+
+    def test_overlong_integer_literal(self):
+        with pytest.raises(ProofParseError, match="malformed JSON"):
+            parse_proof('{"root": ' + "1" * 5000 + "}")
+
     def test_ordinal_weight_accepted(self):
         doc = fixture_doc("loop2")
         doc["delta"][0]["pairs"] = [["a", "a", "w*2+3"]]
         proof = proof_from_doc(doc)
         assert proof.delta[("n0", 0, "left")][("a", "a")] == Ordinal(((1, 2), (0, 3)))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["a", "c", "n0", "n1", "n2", "0", "1", "w", "left"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def mutation_sites(value, path=()):
+    """Paths of every leaf and every list element inside ``value``."""
+    if not isinstance(value, (dict, list)) or not value:
+        return [path]
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    out = []
+    for key, child in items:
+        if isinstance(value, list) and isinstance(child, (dict, list)):
+            out.append(path + (key,))
+        out.extend(mutation_sites(child, path + (key,)))
+    return out
+
+
+class TestFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(["loop2", "strict2", "unsound1", "ambig1"]),
+        data=st.data(),
+    )
+    def test_mutated_fixture(self, tmp_path_factory, name, data):
+        """A fixture with one value replaced either parses or fails with
+        ProofParseError, and ``cep validate`` exits 2 exactly when parsing
+        fails, without raising."""
+        doc = fixture_doc(name)
+        site = data.draw(st.sampled_from(mutation_sites(doc)))
+        set_in(doc, site, data.draw(json_values))
+        text = json.dumps(doc)
+        try:
+            parse_proof(text)
+            parsed = True
+        except ProofParseError as exc:
+            assert exc.location
+            parsed = False
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run_cli(["validate", str(path), "--json"])
+        assert (code == 2) == (not parsed)
 
 
 class TestRoundTrip:

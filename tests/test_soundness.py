@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
+import random
 from collections import deque
 
 import pytest
 
-from cep.proofgraph import LEFT
+from cep.proofgraph import LEFT, parse_proof, serialize_proof
 from cep.soundness import (
     DOWN,
     FLAT,
@@ -81,11 +83,14 @@ class TestVerdicts:
         assert report.relations_explored > 0
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_parallel_confluence(self, seed):
+    def test_document_order_invariance(self, seed):
         proof = random_proof(8_000 + seed)
-        single = check_global_soundness(proof, jobs=1)
-        multi = check_global_soundness(proof, jobs=4)
-        assert single == multi
+        doc = json.loads(serialize_proof(proof))
+        rng = random.Random(8_000 + seed)
+        rng.shuffle(doc["nodes"])
+        rng.shuffle(doc["delta"])
+        shuffled = parse_proof(json.dumps(doc))
+        assert check_global_soundness(shuffled) == check_global_soundness(proof)
 
 
 def node_cycles(proof, max_len):
