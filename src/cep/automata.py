@@ -152,7 +152,7 @@ class WeightedAutomaton:
         )
 
     def transition_triples(self):
-        """(src, letter, dst, weight) tuples in canonical order."""
+        """(src, letter, dst, weight) tuples sorted by src, letter, dst."""
         out = []
         for (src, letter), targets in self.transitions.items():
             for dst, weight in targets.items():
@@ -592,13 +592,37 @@ def _state_to_json(state: State) -> dict:
     return out
 
 
-def _state_from_json(raw: dict) -> State:
-    return State(
-        kind=raw["kind"],
-        node=raw.get("node", ""),
-        value=raw.get("value", ""),
-        level=raw.get("level", 0),
-    )
+def _expect(cond: bool, message: str, location: str):
+    if not cond:
+        raise ValueError(f"{location}: {message}")
+
+
+def _is_int(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _field(raw, key: str, location: str):
+    _expect(isinstance(raw, dict), "expected an object", location)
+    _expect(key in raw, f"missing key {key!r}", location)
+    return raw[key]
+
+
+def _list_field(raw, key: str, location: str) -> list:
+    value = _field(raw, key, location)
+    _expect(isinstance(value, list), "expected a list", f"{location}.{key}")
+    return value
+
+
+def _state_from_json(raw, location: str) -> State:
+    kind = _field(raw, "kind", location)
+    _expect(kind in _KIND_RANK, f"unknown state kind {kind!r}", f"{location}.kind")
+    node = raw.get("node", "")
+    value = raw.get("value", "")
+    level = raw.get("level", 0)
+    _expect(isinstance(node, str), "expected a string", f"{location}.node")
+    _expect(isinstance(value, str), "expected a string", f"{location}.value")
+    _expect(_is_int(level), "expected an integer", f"{location}.level")
+    return State(kind=kind, node=node, value=value, level=level)
 
 
 def _letter_to_json(letter: Letter) -> dict:
@@ -607,10 +631,17 @@ def _letter_to_json(letter: Letter) -> dict:
     return {"ants": list(letter.ants), "con": letter.con}
 
 
-def _letter_from_json(raw: dict) -> Letter:
+def _letter_from_json(raw, location: str) -> Letter:
+    _expect(isinstance(raw, dict), "expected a letter object", location)
     if "node" in raw:
+        _expect(isinstance(raw["node"], str), "expected a string", f"{location}.node")
         return Letter.node_ref(raw["node"])
-    return Letter.value_pair(raw["ants"], raw["con"])
+    ants = _list_field(raw, "ants", location)
+    for i, ant in enumerate(ants):
+        _expect(isinstance(ant, str), "expected a string", f"{location}.ants[{i}]")
+    con = _field(raw, "con", location)
+    _expect(isinstance(con, str), "expected a string", f"{location}.con")
+    return Letter.value_pair(ants, con)
 
 
 def automaton_to_json(auto: WeightedAutomaton) -> str:
@@ -639,20 +670,55 @@ def automaton_to_json(auto: WeightedAutomaton) -> str:
 
 
 def automaton_from_json(text: str | bytes) -> WeightedAutomaton:
+    """Read an automaton written by :func:`automaton_to_json`.  Raises
+    ``ValueError`` with a JSON-path location on a malformed document."""
     doc = json.loads(text)
-    states = [_state_from_json(raw) for raw in doc["states"]]
+    kind = _field(doc, "kind", "$")
+    _expect(isinstance(kind, str), "expected a string", "$.kind")
+    approx_level = doc.get("approx_level")
+    _expect(
+        approx_level is None or _is_int(approx_level),
+        "expected an integer or null",
+        "$.approx_level",
+    )
+    states = [
+        _state_from_json(raw, f"$.states[{i}]")
+        for i, raw in enumerate(_list_field(doc, "states", "$"))
+    ]
+
+    def state_at(raw, location: str) -> State:
+        _expect(_is_int(raw), "expected a state index", location)
+        _expect(
+            0 <= raw < len(states),
+            f"state index {raw} out of range for {len(states)} states",
+            location,
+        )
+        return states[raw]
+
     transitions: dict[tuple[State, Letter], dict[State, Ordinal]] = {}
-    for raw in doc["transitions"]:
-        src = states[raw["src"]]
-        dst = states[raw["dst"]]
-        letter = _letter_from_json(raw["letter"])
-        transitions.setdefault((src, letter), {})[dst] = Ordinal.parse(raw["weight"])
+    for i, raw in enumerate(_list_field(doc, "transitions", "$")):
+        loc = f"$.transitions[{i}]"
+        src = state_at(_field(raw, "src", loc), f"{loc}.src")
+        dst = state_at(_field(raw, "dst", loc), f"{loc}.dst")
+        letter = _letter_from_json(_field(raw, "letter", loc), f"{loc}.letter")
+        weight = _field(raw, "weight", loc)
+        try:
+            weight = Ordinal.parse(weight)
+        except ValueError as exc:
+            raise ValueError(f"{loc}.weight: {exc}") from exc
+        transitions.setdefault((src, letter), {})[dst] = weight
     return WeightedAutomaton(
-        kind=doc["kind"],
+        kind=kind,
         states=frozenset(states),
-        initial=states[doc["initial"]],
-        finals=frozenset(states[i] for i in doc["finals"]),
+        initial=state_at(_field(doc, "initial", "$"), "$.initial"),
+        finals=frozenset(
+            state_at(raw, f"$.finals[{i}]")
+            for i, raw in enumerate(_list_field(doc, "finals", "$"))
+        ),
         transitions=transitions,
-        alphabet=frozenset(_letter_from_json(raw) for raw in doc["alphabet"]),
-        approx_level=doc.get("approx_level"),
+        alphabet=frozenset(
+            _letter_from_json(raw, f"$.alphabet[{i}]")
+            for i, raw in enumerate(_list_field(doc, "alphabet", "$"))
+        ),
+        approx_level=approx_level,
     )

@@ -50,23 +50,9 @@ def _digest(path: str) -> dict:
 
 
 def _echo(argv) -> list[str]:
-    """The command echo, with execution-tuning flags normalised away so
-    reports stay byte-identical across worker counts."""
-    out = []
-    skip_value = False
-    for token in argv:
-        if skip_value:
-            skip_value = False
-            continue
-        if token in ("--jobs", "-j"):
-            skip_value = True
-            continue
-        if token.startswith("--jobs="):
-            continue
-        if token == "--timing":
-            continue
-        out.append(token)
-    return out
+    """The command echo without ``--timing``, so reports with and without
+    timing differ only in the timing field."""
+    return [token for token in argv if token != "--timing"]
 
 
 def _query_from_args(args) -> TracePairQuery:
@@ -301,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_query=False):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         p.add_argument(
             "--timing", action="store_true", help="include wall-clock timing"
         )

@@ -17,14 +17,17 @@ entries are adjusted in the direction that can only create spurious
 violations, never hide real ones: lagging entries of the first automaton
 are lifted to the window floor, leading entries of the second are capped,
 lagging ones dropped.  A closed exploration without violations is
-therefore a sound VERIFIED.  Violations found under clamping are
-revalidated against exact language values; a violation that fails
-revalidation downgrades the outcome to UNKNOWN_SATURATED instead of
-guessing."""
+therefore a sound VERIFIED.  The exploration is breadth-first and reads
+letters in order, so configurations are reached in length-lex order of
+their words and each is reached first by its least word.  A violating
+configuration is revalidated against exact language values as soon as
+it is reached; a violation that fails revalidation downgrades the
+outcome to UNKNOWN_SATURATED instead of guessing."""
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import Letter, State, WeightedAutomaton, _letter_to_json, language_value
@@ -37,9 +40,6 @@ __all__ = [
     "oracle_compare",
     "decide_containment",
 ]
-
-B, A = "b", "a"
-
 
 @dataclass(frozen=True)
 class ContainmentVerdict:
@@ -147,8 +147,13 @@ def oracle_compare(
 
 
 def _int_transitions(auto: WeightedAutomaton, tag: str):
+    """Integer transitions out of the reachable states; unreachable ones
+    never enter the exploration, so their weights need not be finite."""
     out: dict[tuple[State, Letter], list[tuple[State, int]]] = {}
+    reachable = auto.reachable_states()
     for (src, letter), targets in auto.transitions.items():
+        if src not in reachable:
+            continue
         entry = []
         for dst, weight in targets.items():
             if not weight.is_finite():
@@ -157,8 +162,18 @@ def _int_transitions(auto: WeightedAutomaton, tag: str):
                     f"{tag!r} has weight {weight} on a transition"
                 )
             entry.append((dst, weight.to_int()))
-        entry.sort(key=lambda item: item[0].sort_key())
         out[(src, letter)] = entry
+    return out
+
+
+def _step(trans, weights: dict[State, int], letter: Letter) -> dict[State, int]:
+    """One letter step of one side: the maximum weight reaching each state."""
+    out: dict[State, int] = {}
+    for state, rel in weights.items():
+        for dst, weight in trans.get((state, letter), ()):
+            candidate = rel + weight
+            if dst not in out or out[dst] < candidate:
+                out[dst] = candidate
     return out
 
 
@@ -167,86 +182,61 @@ def decide_containment(
     a: WeightedAutomaton,
     strict: bool,
     lag_cap: int = 64,
-    _reverse_letters: bool = False,
 ) -> ContainmentVerdict:
-    """Lag-profile exploration of the joint weight configurations.
-
-    ``_reverse_letters`` only perturbs the exploration order inside a
-    level; the verdict and witness must not depend on it."""
+    """Breadth-first lag-profile exploration of the joint weight
+    configurations, in length-lexicographic order of their words."""
     if lag_cap < 1:
         raise ValueError("lag cap must be positive")
     params = {"lag_cap": lag_cap}
-    trans = {B: _int_transitions(b, B), A: _int_transitions(a, A)}
-    finals = {B: b.finals, A: a.finals}
+    b_trans = _int_transitions(b, "b")
+    a_trans = _int_transitions(a, "a")
     b_letters: dict[State, list[Letter]] = {}
-    for (src, letter) in trans[B]:
+    for (src, letter) in b_trans:
         b_letters.setdefault(src, []).append(letter)
 
-    def violates(entries) -> bool:
-        vb = None
-        va = None
-        for (tag, state), rel in entries.items():
-            if state in finals[tag]:
-                if tag == B:
-                    vb = rel if vb is None else max(vb, rel)
-                else:
-                    va = rel if va is None else max(va, rel)
+    def violates(bw, aw) -> bool:
+        vb = max((rel for state, rel in bw.items() if state in b.finals), default=None)
         if vb is None:
             return False
+        va = max((rel for state, rel in aw.items() if state in a.finals), default=None)
         if va is None:
             return True
         return vb >= va if strict else vb > va
 
-    def canonical(entries):
-        return tuple(
-            (tag, state, rel)
-            for (tag, state), rel in sorted(
-                entries.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key(), kv[1])
-            )
-        )
-
-    def successor(entries, letter):
-        """One letter step with per-state maxima, renormalisation against
-        the b-side maximum, and window clamping; returns (entries,
-        clamped?) or None when the b side dies."""
-        nxt: dict[tuple[str, State], int] = {}
-        for (tag, state), rel in entries.items():
-            for dst, weight in trans[tag].get((state, letter), ()):
-                key = (tag, dst)
-                candidate = rel + weight
-                if key not in nxt or nxt[key] < candidate:
-                    nxt[key] = candidate
-        b_max = None
-        for (tag, _state), rel in nxt.items():
-            if tag == B:
-                b_max = rel if b_max is None else max(b_max, rel)
-        if b_max is None:
+    def successor(bw, aw, letter):
+        """One letter step with renormalisation against the b-side maximum
+        and window clamping; returns (bw, aw, clamped?) or None when the
+        b side dies."""
+        nb = _step(b_trans, bw, letter)
+        if not nb:
             return None
+        b_max = max(nb.values())
         clamped = False
-        out: dict[tuple[str, State], int] = {}
-        for key, rel in nxt.items():
+        out_b: dict[State, int] = {}
+        for state, rel in nb.items():
             rel -= b_max
-            if key[0] == B:
-                if rel < -lag_cap:
-                    rel = -lag_cap
-                    clamped = True
-            else:
-                if rel > lag_cap:
-                    rel = lag_cap
-                    clamped = True
-                elif rel < -lag_cap:
-                    clamped = True
-                    continue
-            out[key] = rel
-        return out, clamped
+            if rel < -lag_cap:
+                rel = -lag_cap
+                clamped = True
+            out_b[state] = rel
+        out_a: dict[State, int] = {}
+        for state, rel in _step(a_trans, aw, letter).items():
+            rel -= b_max
+            if rel > lag_cap:
+                rel = lag_cap
+                clamped = True
+            elif rel < -lag_cap:
+                clamped = True
+                continue
+            out_a[state] = rel
+        return out_b, out_a, clamped
 
-    initial = {(B, b.initial): 0, (A, a.initial): 0}
-    init_key = canonical(initial)
-    # parents: config key -> (parent key | None, letter | None); the word
-    # sort key is cached so level ordering does not re-walk the links.
-    parents: dict[tuple, tuple] = {init_key: (None, None)}
-    word_keys: dict[tuple, tuple] = {init_key: ()}
-    entries_of = {init_key: initial}
+    def key_of(bw, aw):
+        return frozenset(bw.items()), frozenset(aw.items())
+
+    # parents: config key -> (parent key | None, letter | None)
+    parents: dict[tuple, tuple] = {}
+    queue: deque = deque()
 
     def word_of(key) -> tuple[Letter, ...]:
         letters = []
@@ -261,8 +251,14 @@ def decide_containment(
     any_clamp = False
     unverified_violation = False
 
-    def handle_violation(key):
+    def discover(key, parent, letter, bw, aw):
+        """Record a new configuration; revalidate it at once if it
+        violates.  Returns a REFUTED verdict or None."""
         nonlocal unverified_violation
+        parents[key] = (parent, letter)
+        queue.append((key, bw, aw))
+        if not violates(bw, aw):
+            return None
         word = word_of(key)
         bad, lhs, rhs = _true_violation(b, a, word, strict)
         if bad:
@@ -278,56 +274,28 @@ def decide_containment(
         unverified_violation = True
         return None
 
-    if violates(initial):
-        found = handle_violation(init_key)
-        if found:
-            return found
-
-    level = [init_key]
-    while level:
-        discovered: dict[tuple, tuple[tuple, Letter, dict]] = {}
-        for key in level:
-            entries = entries_of[key]
-            letters = sorted(
-                {
-                    letter
-                    for (tag, state) in entries
-                    if tag == B
-                    for letter in b_letters.get(state, ())
-                },
-                key=Letter.sort_key,
-                reverse=_reverse_letters,
-            )
-            for letter in letters:
-                stepped = successor(entries, letter)
-                if stepped is None:
-                    continue
-                nxt, clamped = stepped
-                any_clamp = any_clamp or clamped
-                nxt_key = canonical(nxt)
-                if nxt_key in parents:
-                    continue
-                new_word_key = word_keys[key] + (letter.sort_key(),)
-                if nxt_key in discovered:
-                    # Keep the lexicographically least discovery word
-                    # within the level.
-                    if new_word_key < discovered[nxt_key][3]:
-                        discovered[nxt_key] = (key, letter, nxt, new_word_key)
-                else:
-                    discovered[nxt_key] = (key, letter, nxt, new_word_key)
-        violating = []
-        for nxt_key, (parent_key, letter, nxt, word_key) in discovered.items():
-            parents[nxt_key] = (parent_key, letter)
-            word_keys[nxt_key] = word_key
-            entries_of[nxt_key] = nxt
-            if violates(nxt):
-                violating.append(nxt_key)
-        violating.sort(key=word_keys.__getitem__)
-        for key in violating:
-            found = handle_violation(key)
+    initial = ({b.initial: 0}, {a.initial: 0})
+    found = discover(key_of(*initial), None, None, *initial)
+    if found:
+        return found
+    while queue:
+        key, bw, aw = queue.popleft()
+        letters = sorted(
+            {letter for state in bw for letter in b_letters.get(state, ())},
+            key=Letter.sort_key,
+        )
+        for letter in letters:
+            stepped = successor(bw, aw, letter)
+            if stepped is None:
+                continue
+            nb, na, clamped = stepped
+            any_clamp = any_clamp or clamped
+            nxt_key = key_of(nb, na)
+            if nxt_key in parents:
+                continue
+            found = discover(nxt_key, key, letter, nb, na)
             if found:
                 return found
-        level = sorted(discovered, key=word_keys.__getitem__)
 
     log.debug(
         "lagset closure: %d configurations, clamped=%s, unverified=%s",

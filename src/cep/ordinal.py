@@ -35,7 +35,7 @@ class OrdinalParseError(ValueError):
     """Raised for literals outside the supported ``w^k*c`` syntax."""
 
 
-_TERM_RE = re.compile(r"(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))\Z")
+_TERM_RE = re.compile(r"(?:w(?:\^([0-9]+))?(?:\*([0-9]+))?|([0-9]+))\Z")
 
 
 @dataclass(frozen=True, order=True)

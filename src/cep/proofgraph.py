@@ -228,10 +228,13 @@ def parse_proof(source: bytes | str) -> Proof:
         _expect(
             node_id not in nodes, f"duplicate node id {node_id!r}", f"{loc}.id"
         )
+        _expect(isinstance(raw["rule"], str), "rule must be a string", f"{loc}.rule")
         seq = raw["sequent"]
         _expect(
-            isinstance(seq, dict) and set(seq) == {"ant", "con"},
-            "sequent must be {'ant':.., 'con':..}",
+            isinstance(seq, dict)
+            and set(seq) == {"ant", "con"}
+            and all(isinstance(side, str) for side in seq.values()),
+            "sequent must be {'ant': string, 'con': string}",
             f"{loc}.sequent",
         )
         ant_values = _str_list(raw["ant_values"], f"{loc}.ant_values")
@@ -267,8 +270,8 @@ def parse_proof(source: bytes | str) -> Proof:
             equates.append((a, c))
         nodes[node_id] = Node(
             id=node_id,
-            rule=str(raw["rule"]),
-            sequent=Sequent(ant=str(seq["ant"]), con=str(seq["con"])),
+            rule=raw["rule"],
+            sequent=Sequent(ant=seq["ant"], con=seq["con"]),
             ant_values=frozenset(ant_values),
             con_values=frozenset(con_values),
             children=tuple(children),

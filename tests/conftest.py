@@ -44,6 +44,9 @@ MALFORMED_LOOP2 = [
     ("bool_weight", ("delta", 0, "pairs", 0, 2), True, "$.delta[0].pairs[0]"),
     ("overlong_weight", ("delta", 0, "pairs", 0, 2), "1" * 5000, "$.delta[0].pairs[0]"),
     ("bool_child_index", ("delta", 4, "child_index"), True, "$.delta[4].child_index"),
+    ("dict_rule", ("nodes", 0, "rule"), {"x": 1}, "$.nodes[0].rule"),
+    ("int_sequent_ant", ("nodes", 0, "sequent", "ant"), 5, "$.nodes[0].sequent"),
+    ("null_sequent_con", ("nodes", 1, "sequent", "con"), None, "$.nodes[1].sequent"),
 ]
 
 

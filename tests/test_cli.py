@@ -66,6 +66,24 @@ class TestExitCodes:
         code = run_cli(["order", LOOP2, "--node", "n0", "--ant", "a", "--con", "zz"])
         assert code == 2
 
+    def test_unreachable_omega_weight_decided(self, capsys, tmp_path):
+        # A consequent value d whose omega weight no run of the query
+        # reaches: the gates pass, so the ordering gets loop2's answers.
+        doc = fixture_doc("loop2")
+        for node in doc["nodes"][:2]:
+            node["con_values"].append("d")
+        doc["delta"][1]["pairs"].append(["d", "d", "w"])
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_json(capsys, "order", str(path), *ORDER_ARGS)
+        assert code == 0
+        code, report = run_json(capsys, "order", str(path), *ORDER_ARGS, "--strict")
+        assert code == 3
+        _, plain = run_json(capsys, "order", LOOP2, *ORDER_ARGS, "--strict")
+        witness = report["report"]["containment"]["counterexample"]
+        assert witness == plain["report"]["containment"]["counterexample"]
+        assert witness is not None
+
     @pytest.mark.parametrize(
         "path, value, location",
         [case[1:] for case in MALFORMED_LOOP2],
@@ -157,6 +175,43 @@ class TestAutomataAndContain:
             {"node": "n2"},
         ]
 
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("states",), 5, "$.states"),
+            (("transitions", 0, "dst"), 9, "$.transitions[0].dst"),
+            (("transitions", 0, "src"), "0", "$.transitions[0].src"),
+            (("transitions", 0, "letter"), "n0", "$.transitions[0].letter"),
+            (("transitions", 0, "letter"), {"ants": "a", "con": "c"},
+             "$.transitions[0].letter.ants"),
+            (("transitions", 0, "weight"), 1.5, "$.transitions[0].weight"),
+            (("states", 0, "kind"), "sink", "$.states[0].kind"),
+            (("finals", 0), -1, "$.finals[0]"),
+            (("alphabet", 0), {"node": 3}, "$.alphabet[0].node"),
+        ],
+        ids=[
+            "int_states", "dst_out_of_range", "str_src", "str_letter",
+            "str_ants", "float_weight", "unknown_kind", "negative_final",
+            "int_node_letter",
+        ],
+    )
+    def test_contain_malformed_automaton_exits_2(
+        self, capsys, tmp_path, path, value, location
+    ):
+        good = tmp_path / "b.json"
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--consequent", "--save", str(good)])
+        doc = json.loads(good.read_text())
+        if path[0] == "transitions":
+            # One state left, so a dst of 9 is out of range.
+            doc["states"] = doc["states"][:1]
+            doc["transitions"] = [dict(doc["transitions"][0], src=0, dst=0)]
+        set_in(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["contain", str(bad), str(good)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
     def test_contain_oracle_engine(self, capsys, tmp_path):
         b_path = tmp_path / "b.json"
         a_path = tmp_path / "a.json"
@@ -188,13 +243,6 @@ class TestDeterminism:
         run_cli(argv)
         second = capsys.readouterr().out
         assert first == second
-
-    def test_jobs_invariance(self, capsys):
-        outs = []
-        for jobs in ("1", "4"):
-            run_cli(["order", LOOP2, *ORDER_ARGS, "--json", "--jobs", jobs])
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
 
     def test_timing_flag_adds_field(self, capsys):
         code, out = run(capsys, "validate", LOOP2, "--timing", "--json")

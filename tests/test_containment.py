@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from cep.automata import (
     Letter,
+    State,
     TracePairQuery,
+    WeightedAutomaton,
     build_antecedent_approx,
     build_consequent,
     language_value,
 )
 from cep.containment import decide_containment, oracle_compare
+from cep.ordinal import ONE
 from conftest import fixture_doc, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
@@ -75,6 +81,33 @@ class TestLagsetFixtures:
         assert not verdict.counterexample[-1].is_node
         assert language_value(a, verdict.counterexample).is_bot
 
+    def test_witness_is_length_lex_least(self):
+        # Three refuting words, inserted out of order: n1 n1 is longest,
+        # n3 comes first in the table, n2 is the length-lex least.
+        s0, mid, end = (State.node_value(n, "c") for n in ("n0", "n1", "n2"))
+        b = WeightedAutomaton(
+            kind="consequent",
+            states=frozenset({s0, mid, end}),
+            initial=s0,
+            finals=frozenset({end}),
+            transitions={
+                (s0, N("n3")): {end: ONE},
+                (s0, N("n1")): {mid: ONE},
+                (mid, N("n1")): {end: ONE},
+                (s0, N("n2")): {end: ONE},
+            },
+        )
+        a = WeightedAutomaton(
+            kind="antecedent_approx",
+            states=frozenset({s0}),
+            initial=s0,
+            finals=frozenset(),
+            transitions={},
+        )
+        verdict = decide_containment(b, a, strict=False, lag_cap=64)
+        assert verdict.status == "REFUTED"
+        assert verdict.counterexample == (N("n2"),)
+
     def test_rejects_bad_cap(self, loop2):
         b, a = automata_for(loop2)
         with pytest.raises(ValueError, match="lag cap"):
@@ -137,16 +170,26 @@ class TestInvariants:
                         )
                         assert deep.status == "REFUTED"
 
-    def test_exploration_order_invariance(self, gated_instances):
+    def test_transition_order_invariance(self, gated_instances):
         from cep.restrictions import compute_thresholds
 
-        for proof, query in gated_instances[:60]:
+        def shuffled(auto, rng):
+            items = list(auto.transitions.items())
+            rng.shuffle(items)
+            transitions = {}
+            for key, targets in items:
+                inner = list(targets.items())
+                rng.shuffle(inner)
+                transitions[key] = dict(inner)
+            return dataclasses.replace(auto, transitions=transitions)
+
+        for i, (proof, query) in enumerate(gated_instances[:60]):
             t = compute_thresholds(proof, query)
             b = build_consequent(proof, query)
             a = build_antecedent_approx(proof, query, t.n_bound)
+            rng = random.Random(i)
+            b2, a2 = shuffled(b, rng), shuffled(a, rng)
             for strict in (False, True):
-                forward = decide_containment(b, a, strict, lag_cap=64)
-                backward = decide_containment(
-                    b, a, strict, lag_cap=64, _reverse_letters=True
+                assert decide_containment(b, a, strict, lag_cap=64) == (
+                    decide_containment(b2, a2, strict, lag_cap=64)
                 )
-                assert forward == backward

@@ -125,7 +125,7 @@ class TestParseRender:
         assert Ordinal.parse(4) == Ordinal.from_int(4)
 
     @pytest.mark.parametrize(
-        "bad", ["w^w", "-1", "3+w", "w+w", "", "x", "w^", 1.5, True, None, [1]]
+        "bad", ["w^w", "-1", "3+w", "w+w", "", "x", "w^", 1.5, True, None, [1], "\u0663"]
     )
     def test_rejects(self, bad):
         with pytest.raises(OrdinalParseError):
