@@ -3,6 +3,13 @@ semiring: the consequent-trace and antecedent-trace constructions, the
 approximate antecedent automata with bounded sink chains, run semantics,
 groundedness and ambiguity analysis, and DOT/JSON export.
 
+Ambiguity is classified on the trimmed automaton with the shared graph
+primitives of :mod:`cep.traces`: one strongly-connected-component pass
+over the triple product, with a back edge (p,q,q) -> (p,p,q) per pair,
+decides Weber and Seidl's IDA pattern (infinite ambiguity), and a
+forward and a backward closure over the squared product decide whether
+any word has two accepting runs at all.
+
 The alphabet has two letter shapes: node letters, and pair letters made of
 a set of antecedent values together with one consequent value.  Pair
 letters are only ever instantiated as (equated antecedents of t, t) for an
@@ -17,9 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 from .ordinal import BOT, ZERO, Ordinal, TropicalWeight, ord_add, trop_oplus
 from .proofgraph import LEFT, RIGHT, Proof, terminal_values
+from .traces import closure, sccs
 
 __all__ = [
     "Letter",
@@ -161,33 +170,17 @@ class WeightedAutomaton:
         return out
 
     def reachable_states(self) -> frozenset[State]:
-        seen = {self.initial}
-        frontier = [self.initial]
         succ: dict[State, set[State]] = {}
         for (src, _letter), targets in self.transitions.items():
             succ.setdefault(src, set()).update(targets)
-        while frontier:
-            state = frontier.pop()
-            for nxt in succ.get(state, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+        return frozenset(closure([self.initial], lambda s: succ.get(s, ())))
 
     def co_reachable_states(self) -> frozenset[State]:
         pred: dict[State, set[State]] = {}
         for (src, _letter), targets in self.transitions.items():
             for dst in targets:
                 pred.setdefault(dst, set()).add(src)
-        seen = set(self.finals)
-        frontier = list(self.finals)
-        while frontier:
-            state = frontier.pop()
-            for prv in pred.get(state, ()):
-                if prv not in seen:
-                    seen.add(prv)
-                    frontier.append(prv)
-        return frozenset(seen)
+        return frozenset(closure(self.finals, lambda s: pred.get(s, ())))
 
 
 def _letter_alphabet(proof: Proof) -> frozenset[Letter]:
@@ -432,134 +425,66 @@ def is_grounded(auto: WeightedAutomaton, proof: Proof) -> bool:
     return True
 
 
-def _trimmed(auto: WeightedAutomaton):
-    useful = auto.reachable_states() & auto.co_reachable_states()
-    transitions: dict[tuple[State, Letter], list[tuple[State, Ordinal]]] = {}
-    for (src, letter), targets in auto.transitions.items():
-        if src not in useful:
-            continue
-        kept = [(dst, w) for dst, w in targets.items() if dst in useful]
-        if kept:
-            transitions[(src, letter)] = kept
-    return useful, transitions
-
-
 def ambiguity(auto: WeightedAutomaton) -> str:
     """Classify as ``unambiguous``, ``finite`` or ``infinite``.
 
-    Infinite ambiguity is the classical pattern: distinct useful states q,
-    q' and a word w with runs q -w-> q, q -w-> q', q' -w-> q', decided by
-    reachability from (q,q,q') to (q,q',q') in the triple product.
-    Ambiguity at all is decided on the squared product: some useful
-    off-diagonal pair must be reachable from the doubled initial state and
-    jointly co-reachable into a pair of finals.
+    Both tests run on the trimmed automaton (useful states only).
+    Infinite ambiguity is Weber and Seidl's IDA pattern: distinct states
+    p, q and a word w with runs p -w-> p, p -w-> q and q -w-> q.  In the
+    triple product, reachable from the triples (p,p,q), each (p,q,q) gets
+    a back edge to (p,p,q); the pattern holds iff some (p,q,q) shares a
+    strongly connected component with its (p,p,q), since a cycle through
+    several back edges composes into the pattern for one of its pairs
+    (Allauzen, Mohri and Rastogi).  Their EDA pattern implies IDA on a
+    trim automaton.  Ambiguity at all is decided on the squared product:
+    some off-diagonal pair must be reachable from the doubled initial
+    state and co-reachable from a pair of finals.
     """
-    useful, transitions = _trimmed(auto)
+    useful = auto.reachable_states() & auto.co_reachable_states()
     if auto.initial not in useful:
         return "unambiguous"
+    out: dict[State, dict[Letter, list[State]]] = {}
+    for (src, letter), targets in auto.transitions.items():
+        kept = [dst for dst in targets if dst in useful]
+        if src in useful and kept:
+            out.setdefault(src, {})[letter] = kept
 
-    letters = sorted({letter for (_s, letter) in transitions}, key=Letter.sort_key)
-    succ: dict[tuple[State, Letter], list[State]] = {
-        key: [dst for dst, _w in targets] for key, targets in transitions.items()
-    }
+    def step(states):
+        """Successors of a tuple of states reading one common letter."""
+        first, *rest = (out.get(s, {}) for s in states)
+        for letter, dsts in first.items():
+            others = [r.get(letter) for r in rest]
+            if all(others):
+                yield from product(dsts, *others)
 
-    # States on some cycle of the trimmed automaton.
-    on_cycle = set()
-    for state in useful:
-        seen: set[State] = set()
-        frontier = [
-            dst
-            for letter in letters
-            for dst in succ.get((state, letter), ())
-        ]
-        while frontier:
-            current = frontier.pop()
-            if current == state:
-                on_cycle.add(state)
-                frontier = []
-                break
-            if current in seen:
-                continue
-            seen.add(current)
-            for letter in letters:
-                frontier.extend(succ.get((current, letter), ()))
+    starts = [(p, p, q) for p in useful for q in useful if p != q]
+    triples = list(closure(starts, step))
+    index = {t: i for i, t in enumerate(triples)}
+    edges = {i: [index[nxt] for nxt in step(t)] for i, t in enumerate(triples)}
+    back = [
+        (i, index[(p, p, q)]) for (p, q, r), i in index.items() if p != q and q == r
+    ]
+    for i, j in back:
+        edges[i].append(j)
+    comp_of = {i: c for c, comp in enumerate(sccs(len(triples), edges)) for i in comp}
+    if any(comp_of[i] == comp_of[j] for i, j in back):
+        return "infinite"
 
-    def triple_reaches(p: State, r: State) -> bool:
-        start = (p, p, r)
-        target = (p, r, r)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            x, y, z = frontier.pop()
-            for letter in letters:
-                for nx in succ.get((x, letter), ()):
-                    for ny in succ.get((y, letter), ()):
-                        for nz in succ.get((z, letter), ()):
-                            triple = (nx, ny, nz)
-                            if triple == target:
-                                return True
-                            if triple not in seen:
-                                seen.add(triple)
-                                frontier.append(triple)
-        return False
-
-    ordered = sorted(useful, key=State.sort_key)
-    for p in ordered:
-        if p not in on_cycle:
-            continue
-        for r in ordered:
-            if r == p or r not in on_cycle:
-                continue
-            if triple_reaches(p, r):
-                return "infinite"
-
-    # Squared product: reachable, jointly co-reachable off-diagonal pair?
-    pair_start = (auto.initial, auto.initial)
-    reach_pairs = {pair_start}
-    frontier = [pair_start]
-    while frontier:
-        x, y = frontier.pop()
-        for letter in letters:
-            for nx in succ.get((x, letter), ()):
-                for ny in succ.get((y, letter), ()):
-                    pair = (nx, ny)
-                    if pair not in reach_pairs:
-                        reach_pairs.add(pair)
-                        frontier.append(pair)
-    # Joint backward search from pairs of finals over the squared product,
-    # restricted to the pairs seen forward.
-    finals_sq = {
-        (x, y)
-        for x in auto.finals
-        for y in auto.finals
-        if (x, y) in reach_pairs
-    }
-    co = set(finals_sq)
-    changed = True
-    while changed:
-        changed = False
-        for pair in reach_pairs:
-            if pair in co:
-                continue
-            x, y = pair
-            hit = False
-            for letter in letters:
-                for nx in succ.get((x, letter), ()):
-                    for ny in succ.get((y, letter), ()):
-                        if (nx, ny) in co:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit:
-                co.add(pair)
-                changed = True
-    for x, y in reach_pairs & co:
-        if x != y:
-            return "finite"
+    forward = closure([(auto.initial, auto.initial)], step)
+    pred: dict[tuple[State, State], list[tuple[State, State]]] = {}
+    for pair in forward:
+        for nxt in step(pair):
+            pred.setdefault(nxt, []).append(pair)
+    finals = [(x, y) for x, y in forward if x in auto.finals and y in auto.finals]
+    backward = closure(finals, lambda pair: pred.get(pair, ()))
+    if any(x != y for x, y in backward):
+        return "finite"
     return "unambiguous"
+
+
+def _dot_string(text) -> str:
+    """A quoted DOT string: backslashes and double quotes are escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(auto: WeightedAutomaton) -> str:
@@ -571,12 +496,11 @@ def export_dot(auto: WeightedAutomaton) -> str:
     lines.append('  __init [shape=point, label=""];')
     for state in ordered:
         shape = "doublecircle" if state in auto.finals else "circle"
-        lines.append(f'  {names[state]} [shape={shape}, label="{state}"];')
+        lines.append(f"  {names[state]} [shape={shape}, label={_dot_string(state)}];")
     lines.append(f"  __init -> {names[auto.initial]};")
     for src, letter, dst, weight in auto.transition_triples():
-        lines.append(
-            f'  {names[src]} -> {names[dst]} [label="{letter} / {weight}"];'
-        )
+        label = _dot_string(f"{letter} / {weight}")
+        lines.append(f"  {names[src]} -> {names[dst]} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .ordinal import ZERO, Ordinal
 from .proofgraph import LEFT, RIGHT, Proof
-from .traces import reachable_pairs
+from .traces import reachable_pairs, sccs
 
 __all__ = [
     "Thresholds",
@@ -243,55 +243,6 @@ def _binary_graph(proof: Proof, query):
     return triples, edges
 
 
-def _sccs(n: int, edges: dict[int, list[tuple[int, int]]]) -> list[list[int]]:
-    # Iterative Tarjan.
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            targets = edges.get(v, ())
-            while pi < len(targets):
-                w = targets[pi][0]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[v])
-    return out
-
-
 def check_balanced(proof: Proof, query) -> RestrictionReport:
     """Every reachable simple binary cycle of antecedent traces must give
     equal size to its two components: within each strongly connected
@@ -302,7 +253,8 @@ def check_balanced(proof: Proof, query) -> RestrictionReport:
     triples, edges = _binary_graph(proof, query)
     n = len(triples)
     comp_of = {}
-    for comp_id, comp in enumerate(_sccs(n, edges)):
+    adjacency = {v: [w for w, _d in targets] for v, targets in edges.items()}
+    for comp_id, comp in enumerate(sccs(n, adjacency)):
         for v in comp:
             comp_of[v] = comp_id
 

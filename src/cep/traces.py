@@ -1,6 +1,8 @@
 """Paths, traces and the follows relation; reverse-sum trace sizes;
 maximal-trace classification; cycle and reachability analysis over
-(node, value) pairs.
+(node, value) pairs.  The graph primitives shared with the automata and
+the restriction checks live here too: :func:`closure` (every vertex
+reachable from a set of starts) and :func:`sccs` (iterative Tarjan).
 
 A trace may be shorter than the path it follows: it is always aligned to
 the path's first ``len(trace)`` nodes.
@@ -26,6 +28,8 @@ __all__ = [
     "simple_binary_cycles",
     "traces_on_path",
     "reachable_pairs",
+    "closure",
+    "sccs",
 ]
 
 
@@ -303,13 +307,72 @@ def reachable_pairs(
         raise ValueError(
             f"value {value!r} is not a {side} value of node {node_id!r}"
         )
-    seen = {start}
-    frontier = [start]
+
+    def steps(pair):
+        return [(child, dst) for child, dst, _w in _successors(proof, *pair, side)]
+
+    return closure([start], steps)
+
+
+def closure(starts, successors) -> set:
+    """Every vertex reachable from ``starts`` (which are included) along
+    ``successors``, a function from a vertex to its successor vertices."""
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
-        current = frontier.pop()
-        for child, dst, _w in _successors(proof, current[0], current[1], side):
-            nxt = (child, dst)
+        for nxt in successors(frontier.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def sccs(n: int, edges: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph on vertices ``0..n-1``
+    with the given adjacency lists (iterative Tarjan).  Components come
+    out sorted, in the reverse topological order of their condensation."""
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            targets = edges.get(v, ())
+            while pi < len(targets):
+                w = targets[pi]
+                pi += 1
+                if index_of[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index_of[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                out.append(sorted(component))
+            if work:
+                parent, _ = work[-1]
+                low[parent] = min(low[parent], low[v])
+    return out

@@ -174,7 +174,9 @@ def random_corpus(count: int, base_seed: int, **kwargs) -> list[Proof]:
     return [random_proof(base_seed + i, **kwargs) for i in range(count)]
 
 
-def gated_corpus(count: int, base_seed: int, progress_bias: bool = True):
+def gated_corpus(
+    count: int, base_seed: int, progress_bias: bool = True, max_nodes: int = 4
+):
     """Random trace-injective instances passing every applicability gate
     (validation, global soundness, all three structural restrictions) for
     the root query (a0, c0).  Returns (proof, query) pairs."""
@@ -193,7 +195,7 @@ def gated_corpus(count: int, base_seed: int, progress_bias: bool = True):
         seed += 1
         doc = random_proof_doc(
             rng,
-            max_nodes=4,
+            max_nodes=max_nodes,
             max_values=2,
             weights=(1, 1, 2, 0) if progress_bias else (0, 1, 2),
             injective=True,

@@ -223,17 +223,20 @@ def test_criterion_4_approximation(plain_corpus):
                 [Letter.node_ref(n) for n in path_nodes + (path_nodes[-1],) * 2]
             )
         for word in words:
-            full_runs = set()
-            for run, value in run_values(full, word):
-                full_runs.add((run, value))
-            for n, approx in approxes.items():
-                for run, value in run_values(approx, word):
+            full_runs = set(run_values(full, word))
+            # Each approximate run with its chain states collapsed to the
+            # single full sink, computed once per (word, n).
+            collapsed_runs = {
+                n: [
+                    (tuple(s if s.kind != "chain" else s.top() for s in run), value)
+                    for run, value in run_values(approx, word)
+                ]
+                for n, approx in approxes.items()
+            }
+            for runs in collapsed_runs.values():
+                for collapsed in runs:
                     runs_checked += 1
-                    collapsed = tuple(
-                        s if s.kind != "chain" else s.top()
-                        for s in run
-                    )
-                    if (collapsed, value) not in full_runs:
+                    if collapsed not in full_runs:
                         violations += 1
             for run, value in full_runs:
                 entry = next(
@@ -244,16 +247,9 @@ def test_criterion_4_approximation(plain_corpus):
                 else:
                     entry_letter = word[entry - 1]
                     k = sum(1 for l in word[entry - 1 :] if l == entry_letter)
-                for n, approx in approxes.items():
+                for n, runs in collapsed_runs.items():
                     if k <= n:
-                        lifted = [
-                            v
-                            for r, v in run_values(approx, word)
-                            if tuple(
-                                s if s.kind != "chain" else s.top() for s in r
-                            )
-                            == run
-                        ]
+                        lifted = [v for r, v in runs if r == run]
                         if value not in lifted:
                             violations += 1
     report(4, violations == 0, f"{runs_checked} approximate runs collapsed/lifted, "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path as FilePath
 
 import pytest
@@ -21,7 +22,14 @@ from cep.automata import (
 )
 from cep.ordinal import BOT, TropicalWeight
 from cep.traces import Path, Trace, enumerate_right_maximal, prog_points
-from conftest import all_paths, fixture_doc, proof_from_doc, random_proof, traces_following
+from conftest import (
+    all_paths,
+    fixture_doc,
+    proof_from_doc,
+    random_corpus,
+    random_proof,
+    traces_following,
+)
 
 GOLDENS = FilePath(__file__).parent / "goldens"
 
@@ -240,12 +248,56 @@ class TestAmbiguity:
         # the sink always duplicates an accepting run.
         assert ambiguity(build_antecedent_full(proof, Q)) == "finite"
 
+    def test_class_counts_over_random_corpus(self):
+        # Per-kind (unambiguous, finite, infinite) counts, which reach
+        # the consequent automata classed finite or infinite and the
+        # approximate automata classed infinite.
+        counts = {}
+        for proof in random_corpus(100, 9_000):
+            query = TracePairQuery(proof.root, "a0", "c0")
+            autos = {
+                "consequent": build_consequent(proof, query),
+                "full": build_antecedent_full(proof, query),
+            }
+            for n in (1, 2, 3):
+                autos[f"approx{n}"] = build_antecedent_approx(proof, query, n)
+            for kind, auto in autos.items():
+                tally = counts.setdefault(kind, [0, 0, 0])
+                tally[("unambiguous", "finite", "infinite").index(ambiguity(auto))] += 1
+        assert counts == {
+            "consequent": [92, 4, 4],
+            "full": [37, 24, 39],
+            "approx1": [37, 50, 13],
+            "approx2": [37, 50, 13],
+            "approx3": [37, 50, 13],
+        }
+
 
 class TestExportAndJson:
     def test_dot_golden(self, loop2):
         dot = export_dot(build_consequent(loop2, Q))
         golden = (GOLDENS / "loop2_consequent.dot").read_text()
         assert dot == golden
+
+    def test_dot_labels_escaped(self):
+        # A node id with a double quote and a backslash in it.
+        doc = fixture_doc("loop2")
+        odd = 'n"1\\'
+        doc["nodes"][1]["id"] = odd
+        doc["nodes"][0]["children"] = [odd]
+        for entry in doc["delta"]:
+            if entry["from"] == "n1":
+                entry["from"] = odd
+        auto = build_consequent(proof_from_doc(doc), Q)
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        labels = []
+        for line in export_dot(auto).splitlines():
+            if "label=" in line:
+                match = re.search(rf"label={quoted}\];$", line)
+                assert match, line
+                labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+        assert f"({odd},c)" in labels
+        assert f"{odd} / 1" in labels
 
     def test_dot_deterministic(self, loop2):
         a = export_dot(build_antecedent_approx(loop2, Q, 2))

@@ -16,7 +16,7 @@ from cep.automata import (
 )
 from cep.containment import decide_containment, oracle_compare
 from cep.ordinal import ONE
-from conftest import fixture_doc, proof_from_doc
+from conftest import fixture_doc, gated_corpus, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -193,3 +193,25 @@ class TestInvariants:
                 assert decide_containment(b, a, strict, lag_cap=64) == (
                     decide_containment(b2, a2, strict, lag_cap=64)
                 )
+
+    def test_witness_is_oracle_least_on_larger_proofs(self):
+        # Up to 8 nodes: unlike the 4-node gated corpus, these instances
+        # have a witness that moves when the engine reads its letters in
+        # reverse or in set order.
+        from cep.restrictions import compute_thresholds
+
+        refuted = 0
+        for proof, query in gated_corpus(60, 20_000, max_nodes=8):
+            t = compute_thresholds(proof, query)
+            b = build_consequent(proof, query)
+            a = build_antecedent_approx(proof, query, t.n_bound)
+            for strict in (False, True):
+                lag = decide_containment(b, a, strict, lag_cap=64)
+                if lag.status != "REFUTED":
+                    continue
+                refuted += 1
+                oracle = oracle_compare(
+                    b, a, strict, length_bound=len(lag.counterexample)
+                )
+                assert oracle.counterexample == lag.counterexample
+        assert refuted > 0
