@@ -5,8 +5,9 @@ groundedness and ambiguity analysis, and DOT/JSON export.
 
 Ambiguity is classified on the trimmed automaton with the shared graph
 primitives of :mod:`cep.traces`: one strongly-connected-component pass
-over the triple product, with a back edge (p,q,q) -> (p,p,q) per pair,
-decides Weber and Seidl's IDA pattern (infinite ambiguity), and a
+over the automaton finds the states on cycles, and one over the triple
+product started from pairs of them, with a back edge (p,q,q) -> (p,p,q)
+per pair, decides Weber and Seidl's IDA pattern (infinite ambiguity), and a
 forward and a backward closure over the squared product decide whether
 any word has two accepting runs at all.
 
@@ -14,6 +15,12 @@ The alphabet has two letter shapes: node letters, and pair letters made of
 a set of antecedent values together with one consequent value.  Pair
 letters are only ever instantiated as (equated antecedents of t, t) for an
 axiomatic node.
+
+States and letters are named tuples, and their natural tuple order is
+the export order of DOT and JSON files, of ``transition_triples`` and of
+the letters the containment engines read: states by kind (start,
+node/value, bottom, top, chain), then node, value and level; node
+letters before pair letters.
 
 State weights follow the construction: a transition carries the trace
 pair weight exactly when both its endpoints are node/value states, and
@@ -25,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .ordinal import BOT, ZERO, Ordinal, TropicalWeight, ord_add, trop_oplus
 from .proofgraph import LEFT, RIGHT, Proof, terminal_values
@@ -48,33 +56,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A node letter (``node`` set) or a pair letter (``ants``/``con`` set)."""
+class Letter(NamedTuple):
+    """A node letter (``node`` set) or a pair letter (``pair`` true,
+    ``ants``/``con`` set).  Node letters sort first."""
 
-    node: str | None = None
-    ants: tuple[str, ...] | None = None
-    con: str | None = None
+    pair: bool
+    node: str = ""
+    ants: tuple[str, ...] = ()
+    con: str = ""
 
     @classmethod
     def node_ref(cls, node_id: str) -> Letter:
-        return cls(node=node_id)
+        return cls(False, node=node_id)
 
     @classmethod
     def value_pair(cls, ants, con: str) -> Letter:
-        return cls(node=None, ants=tuple(sorted(set(ants))), con=con)
+        return cls(True, ants=tuple(sorted(set(ants))), con=con)
 
     @property
     def is_node(self) -> bool:
-        return self.node is not None
-
-    def sort_key(self):
-        if self.node is not None:
-            return (0, self.node, (), "")
-        return (1, "", self.ants, self.con)
+        return not self.pair
 
     def __str__(self) -> str:
-        if self.node is not None:
+        if not self.pair:
             return self.node
         return "({%s},%s)" % (",".join(self.ants), self.con)
 
@@ -85,38 +89,41 @@ BOT_STATE = "bot"
 TOP = "top"
 CHAIN = "chain"
 
-_KIND_RANK = {START: 0, NODE_VALUE: 1, BOT_STATE: 2, TOP: 3, CHAIN: 4}
+# State kinds in export order; a state's ``rank`` indexes this tuple.
+KINDS = (START, NODE_VALUE, BOT_STATE, TOP, CHAIN)
 
 
-@dataclass(frozen=True)
-class State:
-    kind: str
+class State(NamedTuple):
+    """A state of one of the constructions, tagged by its kind's rank."""
+
+    rank: int
     node: str = ""
     value: str = ""
     level: int = 0
 
+    @property
+    def kind(self) -> str:
+        return KINDS[self.rank]
+
     @classmethod
     def start(cls) -> State:
-        return cls(START)
+        return cls(0)
 
     @classmethod
     def node_value(cls, node: str, value: str) -> State:
-        return cls(NODE_VALUE, node=node, value=value)
+        return cls(1, node=node, value=value)
 
     @classmethod
     def bot(cls) -> State:
-        return cls(BOT_STATE)
+        return cls(2)
 
     @classmethod
     def top(cls) -> State:
-        return cls(TOP)
+        return cls(3)
 
     @classmethod
     def chain(cls, node: str, level: int) -> State:
-        return cls(CHAIN, node=node, level=level)
-
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.node, self.value, self.level)
+        return cls(4, node=node, level=level)
 
     def __str__(self) -> str:
         if self.kind == NODE_VALUE:
@@ -154,20 +161,13 @@ class WeightedAutomaton:
     alphabet: frozenset[Letter] = frozenset()
     approx_level: int | None = None
 
-    def successors(self, state: State, letter: Letter):
-        return sorted(
-            self.transitions.get((state, letter), {}).items(),
-            key=lambda item: item[0].sort_key(),
-        )
-
     def transition_triples(self):
         """(src, letter, dst, weight) tuples sorted by src, letter, dst."""
-        out = []
-        for (src, letter), targets in self.transitions.items():
-            for dst, weight in targets.items():
-                out.append((src, letter, dst, weight))
-        out.sort(key=lambda t: (t[0].sort_key(), t[1].sort_key(), t[2].sort_key()))
-        return out
+        return sorted(
+            (src, letter, dst, weight)
+            for (src, letter), targets in self.transitions.items()
+            for dst, weight in targets.items()
+        )
 
     def reachable_states(self) -> frozenset[State]:
         succ: dict[State, set[State]] = {}
@@ -374,7 +374,8 @@ def run_values(
     for letter in word:
         nxt = []
         for states, acc in runs:
-            for target, weight in auto.successors(states[-1], letter):
+            targets = auto.transitions.get((states[-1], letter), {})
+            for target, weight in sorted(targets.items()):
                 nxt.append((states + (target,), ord_add(weight, acc)))
         runs = nxt
     return [
@@ -430,9 +431,10 @@ def ambiguity(auto: WeightedAutomaton) -> str:
 
     Both tests run on the trimmed automaton (useful states only).
     Infinite ambiguity is Weber and Seidl's IDA pattern: distinct states
-    p, q and a word w with runs p -w-> p, p -w-> q and q -w-> q.  In the
-    triple product, reachable from the triples (p,p,q), each (p,q,q) gets
-    a back edge to (p,p,q); the pattern holds iff some (p,q,q) shares a
+    p, q and a word w with runs p -w-> p, p -w-> q and q -w-> q, so p and
+    q lie on cycles.  In the triple product, reachable from the triples
+    (p,p,q) with p and q on cycles, each (p,q,q) whose (p,p,q) was reached
+    gets a back edge to it; the pattern holds iff some (p,q,q) shares a
     strongly connected component with its (p,p,q), since a cycle through
     several back edges composes into the pattern for one of its pairs
     (Allauzen, Mohri and Rastogi).  Their EDA pattern implies IDA on a
@@ -457,12 +459,27 @@ def ambiguity(auto: WeightedAutomaton) -> str:
             if all(others):
                 yield from product(dsts, *others)
 
-    starts = [(p, p, q) for p in useful for q in useful if p != q]
+    # The IDA pattern needs p and q on cycles: start only from those.
+    order = list(out)
+    at = {s: i for i, s in enumerate(order)}
+    graph = {
+        at[s]: [at[d] for dsts in out[s].values() for d in dsts if d in at]
+        for s in order
+    }
+    cyclic = [
+        order[i]
+        for comp in sccs(len(order), graph)
+        if len(comp) > 1 or comp[0] in graph[comp[0]]
+        for i in comp
+    ]
+    starts = [(p, p, q) for p in cyclic for q in cyclic if p != q]
     triples = list(closure(starts, step))
     index = {t: i for i, t in enumerate(triples)}
     edges = {i: [index[nxt] for nxt in step(t)] for i, t in enumerate(triples)}
     back = [
-        (i, index[(p, p, q)]) for (p, q, r), i in index.items() if p != q and q == r
+        (i, index[(p, p, q)])
+        for (p, q, r), i in index.items()
+        if p != q and q == r and (p, p, q) in index
     ]
     for i, j in back:
         edges[i].append(j)
@@ -491,7 +508,7 @@ def export_dot(auto: WeightedAutomaton) -> str:
     """Deterministic DOT rendering: states labelled by their tags,
     transitions by letter and weight."""
     lines = ["digraph {", "  rankdir=LR;"]
-    ordered = sorted(auto.states, key=State.sort_key)
+    ordered = sorted(auto.states)
     names = {state: f"q{i}" for i, state in enumerate(ordered)}
     lines.append('  __init [shape=point, label=""];')
     for state in ordered:
@@ -539,14 +556,15 @@ def _list_field(raw, key: str, location: str) -> list:
 
 def _state_from_json(raw, location: str) -> State:
     kind = _field(raw, "kind", location)
-    _expect(kind in _KIND_RANK, f"unknown state kind {kind!r}", f"{location}.kind")
+    _expect(isinstance(kind, str), "expected a string", f"{location}.kind")
+    _expect(kind in KINDS, f"unknown state kind {kind!r}", f"{location}.kind")
     node = raw.get("node", "")
     value = raw.get("value", "")
     level = raw.get("level", 0)
     _expect(isinstance(node, str), "expected a string", f"{location}.node")
     _expect(isinstance(value, str), "expected a string", f"{location}.value")
     _expect(_is_int(level), "expected an integer", f"{location}.level")
-    return State(kind=kind, node=node, value=value, level=level)
+    return State(KINDS.index(kind), node=node, value=value, level=level)
 
 
 def _letter_to_json(letter: Letter) -> dict:
@@ -569,7 +587,7 @@ def _letter_from_json(raw, location: str) -> Letter:
 
 
 def automaton_to_json(auto: WeightedAutomaton) -> str:
-    ordered = sorted(auto.states, key=State.sort_key)
+    ordered = sorted(auto.states)
     index = {state: i for i, state in enumerate(ordered)}
     doc = {
         "kind": auto.kind,
@@ -577,9 +595,7 @@ def automaton_to_json(auto: WeightedAutomaton) -> str:
         "states": [_state_to_json(s) for s in ordered],
         "initial": index[auto.initial],
         "finals": sorted(index[s] for s in auto.finals),
-        "alphabet": [
-            _letter_to_json(l) for l in sorted(auto.alphabet, key=Letter.sort_key)
-        ],
+        "alphabet": [_letter_to_json(l) for l in sorted(auto.alphabet)],
         "transitions": [
             {
                 "src": index[src],

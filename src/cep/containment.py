@@ -9,15 +9,17 @@ up to a length bound in length-lexicographic order and compares exact
 language values; it can refute but never verify.
 
 ``decide_containment`` explores weight profiles: a configuration maps the
-live states of both automata to run weights relative to the maximum
-weight over the first automaton's entries.  Within a configuration only
-relative weights matter for the comparison, so the search space is
-finite once relative weights are confined to a window.  Out-of-window
-entries are adjusted in the direction that can only create spurious
-violations, never hide real ones: lagging entries of the first automaton
-are lifted to the window floor, leading entries of the second are capped,
-lagging ones dropped.  A closed exploration without violations is
-therefore a sound VERIFIED.  The exploration is breadth-first and reads
+live states of both automata to integer run weights relative to the
+maximum weight over the first automaton's entries.  It reads the
+automata as given and checks finiteness only on the transitions the
+search takes, since a transition never taken affects no configuration.
+Within a configuration only relative weights matter for the comparison,
+so the search space is finite once relative weights are confined to a
+window.  Out-of-window entries are adjusted in the direction that can
+only create spurious violations, never hide real ones: lagging entries
+of the first automaton are lifted to the window floor, leading entries
+of the second are capped, lagging ones dropped.  A closed exploration
+without violations is therefore a sound VERIFIED.  The exploration is breadth-first and reads
 letters in order, so configurations are reached in length-lex order of
 their words and each is reached first by its least word.  A violating
 configuration is revalidated against exact language values as soon as
@@ -107,17 +109,16 @@ def oracle_compare(
     letters_of: dict[State, list[Letter]] = {}
     for (src, letter) in b.transitions:
         letters_of.setdefault(src, []).append(letter)
-    frontier = [((), {b.initial}, {a.initial})]
+    frontier = [((), {b.initial})]
     for _length in range(length_bound):
         nxt = []
-        for word, b_states, a_states in frontier:
+        for word, b_states in frontier:
             letters = sorted(
                 {
                     letter
                     for state in b_states
                     for letter in letters_of.get(state, ())
-                },
-                key=Letter.sort_key,
+                }
             )
             for letter in letters:
                 nb = {
@@ -127,16 +128,11 @@ def oracle_compare(
                 }
                 if not nb:
                     continue
-                na = {
-                    dst
-                    for state in a_states
-                    for dst in a.transitions.get((state, letter), ())
-                }
                 extended = word + (letter,)
                 found = check(extended)
                 if found:
                     return found
-                nxt.append((extended, nb, na))
+                nxt.append((extended, nb))
         frontier = nxt
     return ContainmentVerdict(
         status="UNKNOWN_BOUND",
@@ -146,32 +142,21 @@ def oracle_compare(
     )
 
 
-def _int_transitions(auto: WeightedAutomaton, tag: str):
-    """Integer transitions out of the reachable states; unreachable ones
-    never enter the exploration, so their weights need not be finite."""
-    out: dict[tuple[State, Letter], list[tuple[State, int]]] = {}
-    reachable = auto.reachable_states()
-    for (src, letter), targets in auto.transitions.items():
-        if src not in reachable:
-            continue
-        entry = []
-        for dst, weight in targets.items():
+def _step(
+    auto: WeightedAutomaton, side: str, weights: dict[State, int], letter: Letter
+) -> dict[State, int]:
+    """One letter step of one side: the maximum weight reaching each state.
+    A weight becomes an integer when its transition is taken, so an
+    infinite weight aborts the search only if some configuration uses it."""
+    out: dict[State, int] = {}
+    for state, rel in weights.items():
+        for dst, weight in auto.transitions.get((state, letter), {}).items():
             if not weight.is_finite():
                 raise ValueError(
                     f"containment engine requires finite weights; automaton "
-                    f"{tag!r} has weight {weight} on a transition"
+                    f"{side!r} has weight {weight} on a transition"
                 )
-            entry.append((dst, weight.to_int()))
-        out[(src, letter)] = entry
-    return out
-
-
-def _step(trans, weights: dict[State, int], letter: Letter) -> dict[State, int]:
-    """One letter step of one side: the maximum weight reaching each state."""
-    out: dict[State, int] = {}
-    for state, rel in weights.items():
-        for dst, weight in trans.get((state, letter), ()):
-            candidate = rel + weight
+            candidate = rel + weight.to_int()
             if dst not in out or out[dst] < candidate:
                 out[dst] = candidate
     return out
@@ -188,11 +173,7 @@ def decide_containment(
     if lag_cap < 1:
         raise ValueError("lag cap must be positive")
     params = {"lag_cap": lag_cap}
-    b_trans = _int_transitions(b, "b")
-    a_trans = _int_transitions(a, "a")
-    b_letters: dict[State, list[Letter]] = {}
-    for (src, letter) in b_trans:
-        b_letters.setdefault(src, []).append(letter)
+    letters = sorted({letter for _src, letter in b.transitions})
 
     def violates(bw, aw) -> bool:
         vb = max((rel for state, rel in bw.items() if state in b.finals), default=None)
@@ -207,7 +188,7 @@ def decide_containment(
         """One letter step with renormalisation against the b-side maximum
         and window clamping; returns (bw, aw, clamped?) or None when the
         b side dies."""
-        nb = _step(b_trans, bw, letter)
+        nb = _step(b, "b", bw, letter)
         if not nb:
             return None
         b_max = max(nb.values())
@@ -220,7 +201,7 @@ def decide_containment(
                 clamped = True
             out_b[state] = rel
         out_a: dict[State, int] = {}
-        for state, rel in _step(a_trans, aw, letter).items():
+        for state, rel in _step(a, "a", aw, letter).items():
             rel -= b_max
             if rel > lag_cap:
                 rel = lag_cap
@@ -280,10 +261,6 @@ def decide_containment(
         return found
     while queue:
         key, bw, aw = queue.popleft()
-        letters = sorted(
-            {letter for state in bw for letter in b_letters.get(state, ())},
-            key=Letter.sort_key,
-        )
         for letter in letters:
             stepped = successor(bw, aw, letter)
             if stepped is None:

@@ -77,7 +77,6 @@ CON_NAMES = ("c0", "c1")
 def random_proof_doc(
     rng: random.Random,
     max_nodes: int = 5,
-    max_values: int = 2,
     weights: tuple[int, ...] = (0, 1, 2),
     injective: bool = False,
     pair_prob: float = 0.55,
@@ -101,8 +100,8 @@ def random_proof_doc(
     ant_of: dict[str, list[str]] = {}
     con_of: dict[str, list[str]] = {}
     for node_id in ids:
-        ants = [v for v in ANT_NAMES[:max_values] if rng.random() < 0.8]
-        cons = [v for v in CON_NAMES[:max_values] if rng.random() < 0.8]
+        ants = [v for v in ANT_NAMES if rng.random() < 0.8]
+        cons = [v for v in CON_NAMES if rng.random() < 0.8]
         if node_id == ids[0]:
             ants = sorted(set(ants) | {"a0"})
             cons = sorted(set(cons) | {"c0"})
@@ -196,7 +195,6 @@ def gated_corpus(
         doc = random_proof_doc(
             rng,
             max_nodes=max_nodes,
-            max_values=2,
             weights=(1, 1, 2, 0) if progress_bias else (0, 1, 2),
             injective=True,
         )

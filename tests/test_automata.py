@@ -279,6 +279,18 @@ class TestExportAndJson:
         golden = (GOLDENS / "loop2_consequent.dot").read_text()
         assert dot == golden
 
+    def test_full_dot_golden(self, loop2):
+        # Pins the order of the top state after the node/value states.
+        dot = export_dot(build_antecedent_full(loop2, Q))
+        golden = (GOLDENS / "loop2_full.dot").read_text()
+        assert dot == golden
+
+    def test_approx_json_golden(self, loop2):
+        # Pins the order of chain states and of pair letters.
+        text = automaton_to_json(build_antecedent_approx(loop2, Q, 2))
+        golden = (GOLDENS / "loop2_approx2.json").read_text()
+        assert text == golden
+
     def test_dot_labels_escaped(self):
         # A node id with a double quote and a backslash in it.
         doc = fixture_doc("loop2")

@@ -188,11 +188,12 @@ class TestAutomataAndContain:
             (("states", 0, "kind"), "sink", "$.states[0].kind"),
             (("finals", 0), -1, "$.finals[0]"),
             (("alphabet", 0), {"node": 3}, "$.alphabet[0].node"),
+            (("states", 0, "kind"), ["start"], "$.states[0].kind"),
         ],
         ids=[
             "int_states", "dst_out_of_range", "str_src", "str_letter",
             "str_ants", "float_weight", "unknown_kind", "negative_final",
-            "int_node_letter",
+            "int_node_letter", "list_kind",
         ],
     )
     def test_contain_malformed_automaton_exits_2(

@@ -15,7 +15,7 @@ from cep.automata import (
     language_value,
 )
 from cep.containment import decide_containment, oracle_compare
-from cep.ordinal import ONE
+from cep.ordinal import OMEGA, ONE, ZERO
 from conftest import fixture_doc, gated_corpus, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
@@ -120,6 +120,29 @@ class TestLagsetFixtures:
         b, a = automata_for(proof)
         with pytest.raises(ValueError, match="finite weights"):
             decide_containment(b, a, strict=False, lag_cap=64)
+
+    def test_untaken_infinite_weight_ignored(self):
+        # a has an omega transition out of its initial state on a letter
+        # that b never reads, so no configuration takes it.
+        s0, s1 = State.node_value("n0", "c"), State.node_value("n1", "c")
+        t0, t1 = State.node_value("n0", "a"), State.node_value("n1", "a")
+        b = WeightedAutomaton(
+            kind="consequent",
+            states=frozenset({s0, s1}),
+            initial=s0,
+            finals=frozenset({s1}),
+            transitions={(s0, N("n1")): {s1: ZERO}},
+        )
+        a = WeightedAutomaton(
+            kind="antecedent_approx",
+            states=frozenset({t0, t1}),
+            initial=t0,
+            finals=frozenset({t1}),
+            transitions={(t0, N("n1")): {t1: ONE}, (t0, N("n2")): {t1: OMEGA}},
+        )
+        for strict in (False, True):
+            verdict = decide_containment(b, a, strict=strict, lag_cap=64)
+            assert verdict.status == "VERIFIED"
 
 
 class TestInvariants:
