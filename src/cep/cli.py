@@ -284,6 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace automata, and trace value orderings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    lag_cap_help = (
+        "ceiling of the lag-set window cap: the search runs at caps 1, 2, "
+        "4, ... and doubles only while a clamp could change the verdict "
+        "(default 64)"
+    )
 
     def common(p, with_query=False):
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -332,7 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="right automaton (JSON)")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--engine", choices=["lagset", "oracle"], default="lagset")
-    p.add_argument("--lag-cap", type=int, default=64, dest="lag_cap")
+    p.add_argument(
+        "--lag-cap", type=int, default=64, dest="lag_cap", help=lag_cap_help
+    )
     p.add_argument("--oracle-len", type=int, default=12, dest="oracle_len")
     common(p)
 
@@ -340,7 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--engine", choices=["lagset", "oracle"], default="lagset")
-    p.add_argument("--lag-cap", type=int, default=None, dest="lag_cap")
+    p.add_argument(
+        "--lag-cap", type=int, default=64, dest="lag_cap", help=lag_cap_help
+    )
     p.add_argument("--oracle-len", type=int, default=12, dest="oracle_len")
     common(p, with_query=True)
 

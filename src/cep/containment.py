@@ -19,12 +19,23 @@ window.  Out-of-window entries are adjusted in the direction that can
 only create spurious violations, never hide real ones: lagging entries
 of the first automaton are lifted to the window floor, leading entries
 of the second are capped, lagging ones dropped.  A closed exploration
-without violations is therefore a sound VERIFIED.  The exploration is breadth-first and reads
-letters in order, so configurations are reached in length-lex order of
-their words and each is reached first by its least word.  A violating
-configuration is revalidated against exact language values as soon as
-it is reached; a violation that fails revalidation downgrades the
-outcome to UNKNOWN_SATURATED instead of guessing."""
+without violations is therefore a sound VERIFIED.  The exploration is
+breadth-first and reads letters in order, so configurations are reached
+in length-lex order of their words and each is reached first by its
+least word.  A violating configuration is revalidated against exact
+language values as soon as it is reached; a violation that fails
+revalidation makes the outcome UNKNOWN_SATURATED instead of a guess.
+
+The window cap is deepened: the exploration runs at caps 1, 2, 4, ...,
+the last one cut to the ceiling ``lag_cap``, and stops at the first run
+whose outcome a larger cap cannot change.  VERIFIED is final at any cap.
+A REFUTED reached before any clamp is final too: up to the first clamp
+the exploration is exactly the one every larger cap makes, so its
+witness is the length-lex least.  A clamp merges configurations, so a
+REFUTED after one may carry a longer or later witness that hides the
+least one; it is run again at twice the cap, as is UNKNOWN_SATURATED.
+The run at the ceiling stands as it is, and its ``clamped: true`` says
+when its witness may not be the least."""
 
 from __future__ import annotations
 
@@ -151,12 +162,14 @@ def _step(
     out: dict[State, int] = {}
     for state, rel in weights.items():
         for dst, weight in auto.transitions.get((state, letter), {}).items():
-            if not weight.is_finite():
+            try:
+                step = weight.to_int()
+            except ValueError:
                 raise ValueError(
                     f"containment engine requires finite weights; automaton "
                     f"{side!r} has weight {weight} on a transition"
-                )
-            candidate = rel + weight.to_int()
+                ) from None
+            candidate = rel + step
             if dst not in out or out[dst] < candidate:
                 out[dst] = candidate
     return out
@@ -168,12 +181,44 @@ def decide_containment(
     strict: bool,
     lag_cap: int = 64,
 ) -> ContainmentVerdict:
-    """Breadth-first lag-profile exploration of the joint weight
-    configurations, in length-lexicographic order of their words."""
+    """Lag-profile exploration at window caps 1, 2, 4, ... up to the
+    ceiling ``lag_cap``.  A run's VERIFIED is final, and so is a REFUTED
+    reached before any clamp; anything else is run again at twice the
+    cap, and the run at the ceiling stands as it is."""
     if lag_cap < 1:
         raise ValueError("lag cap must be positive")
-    params = {"lag_cap": lag_cap}
     letters = sorted({letter for _src, letter in b.transitions})
+    caps: list[int] = []
+    cap = 1
+    while True:
+        caps.append(cap)
+        status, word, lhs, rhs, clamped = _explore(b, a, strict, cap, letters)
+        final = status == "VERIFIED" or (status == "REFUTED" and not clamped)
+        if final or cap == lag_cap:
+            break
+        cap = min(2 * cap, lag_cap)
+    return ContainmentVerdict(
+        status=status,
+        strict=strict,
+        engine="lagset",
+        parameters={"lag_cap": lag_cap, "caps": caps, "clamped": clamped},
+        counterexample=word,
+        lhs_value=lhs,
+        rhs_value=rhs,
+    )
+
+
+def _explore(
+    b: WeightedAutomaton,
+    a: WeightedAutomaton,
+    strict: bool,
+    lag_cap: int,
+    letters: list[Letter],
+) -> tuple:
+    """One breadth-first exploration of the joint weight configurations
+    at one window cap, in length-lexicographic order of their words.
+    Returns ``(status, word, lhs, rhs, clamped)``, where ``clamped`` says
+    whether any clamp happened before the outcome was reached."""
 
     def violates(bw, aw) -> bool:
         vb = max((rel for state, rel in bw.items() if state in b.finals), default=None)
@@ -234,7 +279,7 @@ def decide_containment(
 
     def discover(key, parent, letter, bw, aw):
         """Record a new configuration; revalidate it at once if it
-        violates.  Returns a REFUTED verdict or None."""
+        violates.  Returns the refutation or None."""
         nonlocal unverified_violation
         parents[key] = (parent, letter)
         queue.append((key, bw, aw))
@@ -243,22 +288,14 @@ def decide_containment(
         word = word_of(key)
         bad, lhs, rhs = _true_violation(b, a, word, strict)
         if bad:
-            return ContainmentVerdict(
-                status="REFUTED",
-                strict=strict,
-                engine="lagset",
-                parameters=params,
-                counterexample=word,
-                lhs_value=lhs,
-                rhs_value=rhs,
-            )
+            return "REFUTED", word, lhs, rhs
         unverified_violation = True
         return None
 
     initial = ({b.initial: 0}, {a.initial: 0})
     found = discover(key_of(*initial), None, None, *initial)
     if found:
-        return found
+        return (*found, any_clamp)
     while queue:
         key, bw, aw = queue.popleft()
         for letter in letters:
@@ -272,7 +309,7 @@ def decide_containment(
                 continue
             found = discover(nxt_key, key, letter, nb, na)
             if found:
-                return found
+                return (*found, any_clamp)
 
     log.debug(
         "lagset closure: %d configurations, clamped=%s, unverified=%s",
@@ -280,15 +317,5 @@ def decide_containment(
         any_clamp,
         unverified_violation,
     )
-    outcome_params = dict(params)
-    outcome_params["clamped"] = any_clamp
-    if unverified_violation:
-        return ContainmentVerdict(
-            status="UNKNOWN_SATURATED",
-            strict=strict,
-            engine="lagset",
-            parameters=outcome_params,
-        )
-    return ContainmentVerdict(
-        status="VERIFIED", strict=strict, engine="lagset", parameters=outcome_params
-    )
+    status = "UNKNOWN_SATURATED" if unverified_violation else "VERIFIED"
+    return status, None, None, None, any_clamp

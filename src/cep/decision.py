@@ -4,7 +4,9 @@ The pipeline gates the query on structural validity, global soundness,
 trace injectivity and the three structural restrictions; on conforming
 proofs it builds the consequent automaton and the approximate antecedent
 automaton at the derived bound, requires groundedness, and reduces the
-ordering to quantitative containment.
+ordering to quantitative containment.  The lag-set engine runs with the
+window cap ``lag_cap`` as its ceiling (default 64, as for ``cep
+contain``) and deepens toward it from cap 1.
 
 ``definition_oracle`` is the independent bounded check straight from the
 definition of the ordering: enumerate positive maximal right-hand traces
@@ -134,17 +136,12 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
     return reasons or None
 
 
-def default_lag_cap(proof: Proof, thresholds: Thresholds) -> int:
-    step = thresholds.max_step.to_int() if thresholds.max_step.is_finite() else 1
-    return max(16, 4 * (thresholds.n_bound or 1) * step * len(proof.nodes))
-
-
 def decide_order(
     proof: Proof,
     query: TracePairQuery,
     strict: bool = False,
     engine: str = "lagset",
-    lag_cap: int | None = None,
+    lag_cap: int = 64,
     oracle_len: int = 12,
 ) -> OrderVerdict:
     relation = "lt" if strict else "leq"
@@ -193,8 +190,7 @@ def decide_order(
     antecedent = build_antecedent_approx(proof, query, thresholds.n_bound)
 
     if engine == "lagset":
-        cap = lag_cap if lag_cap is not None else default_lag_cap(proof, thresholds)
-        verdict = decide_containment(consequent, antecedent, strict, lag_cap=cap)
+        verdict = decide_containment(consequent, antecedent, strict, lag_cap=lag_cap)
     elif engine == "oracle":
         verdict = oracle_compare(consequent, antecedent, strict, oracle_len)
     else:

@@ -6,6 +6,8 @@ from pathlib import Path as FilePath
 
 import pytest
 
+from cep.automata import Letter, State, WeightedAutomaton
+from cep.ordinal import Ordinal
 from cep.proofgraph import Proof, load_proof, parse_proof
 
 FIXTURES = FilePath(__file__).parent / "fixtures"
@@ -171,6 +173,34 @@ def random_proof(seed: int, **kwargs) -> Proof:
 
 def random_corpus(count: int, base_seed: int, **kwargs) -> list[Proof]:
     return [random_proof(base_seed + i, **kwargs) for i in range(count)]
+
+
+def random_automaton_pair(seed: int) -> tuple[WeightedAutomaton, WeightedAutomaton]:
+    """Two random 3-state automata over the letters p and q with weights
+    0-3, drawn from one ``random.Random(seed)``: ``b``, then ``a``."""
+    rng = random.Random(seed)
+    return (
+        _random_automaton(rng, "consequent"),
+        _random_automaton(rng, "antecedent_approx"),
+    )
+
+
+def _random_automaton(rng: random.Random, kind: str) -> WeightedAutomaton:
+    states = [State.node_value("n", v) for v in "xyz"]
+    transitions: dict = {}
+    for src in states:
+        for letter in (Letter.node_ref("p"), Letter.node_ref("q")):
+            for dst in states:
+                if rng.random() < 0.35:
+                    weight = Ordinal.from_int(rng.randint(0, 3))
+                    transitions.setdefault((src, letter), {})[dst] = weight
+    return WeightedAutomaton(
+        kind=kind,
+        states=frozenset(states),
+        initial=states[0],
+        finals=frozenset(s for s in states if rng.random() < 0.5),
+        transitions=transitions,
+    )
 
 
 def gated_corpus(

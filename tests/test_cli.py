@@ -38,6 +38,16 @@ class TestExitCodes:
         code, _ = run(capsys, "order", LOOP2, *ORDER_ARGS)
         assert code == 0
 
+    def test_order_reports_caps_tried(self, capsys):
+        code, report = run_json(capsys, "order", LOOP2, *ORDER_ARGS)
+        assert code == 0
+        parameters = report["report"]["containment"]["parameters"]
+        assert parameters == {"lag_cap": 64, "caps": [1], "clamped": True}
+
+    def test_order_lag_cap_must_be_positive(self, capsys):
+        assert run_cli(["order", LOOP2, *ORDER_ARGS, "--lag-cap", "0"]) == 2
+        assert "lag cap must be positive" in capsys.readouterr().err
+
     def test_order_strict_fails(self, capsys):
         code, _ = run(capsys, "order", LOOP2, *ORDER_ARGS, "--strict")
         assert code == 3

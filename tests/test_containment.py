@@ -16,7 +16,7 @@ from cep.automata import (
 )
 from cep.containment import decide_containment, oracle_compare
 from cep.ordinal import OMEGA, ONE, ZERO
-from conftest import fixture_doc, gated_corpus, proof_from_doc
+from conftest import fixture_doc, gated_corpus, proof_from_doc, random_automaton_pair
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -238,3 +238,68 @@ class TestInvariants:
                 )
                 assert oracle.counterexample == lag.counterexample
         assert refuted > 0
+
+
+def least_witness(b, a, strict, verdict):
+    """The oracle's length-lex least counterexample up to the length of
+    the verdict's witness."""
+    bound = len(verdict.counterexample)
+    return oracle_compare(b, a, strict, length_bound=bound).counterexample
+
+
+class TestCapDeepening:
+    def test_random_pairs_agree_with_oracle(self):
+        seen = set()
+        for seed in range(1500):
+            b, a = random_automaton_pair(seed)
+            for strict in (False, True):
+                verdict = decide_containment(b, a, strict, lag_cap=8)
+                clamped = verdict.parameters["clamped"]
+                seen.add((verdict.status, clamped))
+                if verdict.status == "VERIFIED":
+                    oracle = oracle_compare(b, a, strict, length_bound=8)
+                    assert oracle.counterexample is None, (seed, strict)
+                elif verdict.status == "REFUTED" and not clamped:
+                    assert verdict.counterexample == least_witness(
+                        b, a, strict, verdict
+                    ), (seed, strict)
+        assert {("VERIFIED", False), ("VERIFIED", True), ("REFUTED", False)} <= seen
+
+    @pytest.mark.parametrize("seed", [2051, 2145, 2349, 2995])
+    def test_clamped_refutation_deepens_to_least_witness(self, seed):
+        b, a = random_automaton_pair(seed)
+        moved = False
+        for strict in (False, True):
+            verdict = decide_containment(b, a, strict, lag_cap=8)
+            assert verdict.status == "REFUTED"
+            assert not verdict.parameters["clamped"]
+            least = least_witness(b, a, strict, verdict)
+            assert verdict.counterexample == least
+            for ceiling in (1, 2):
+                low = decide_containment(b, a, strict, lag_cap=ceiling)
+                if low.status == "REFUTED" and low.counterexample != least:
+                    assert low.parameters["clamped"]
+                    moved = True
+        # Without deepening, a clamp at cap 1 or 2 hides the least witness.
+        assert moved
+
+    def test_ceiling_keeps_clamped_witness(self):
+        b, a = random_automaton_pair(2145)
+        verdict = decide_containment(b, a, strict=False, lag_cap=1)
+        assert verdict.status == "REFUTED"
+        assert [l.node for l in verdict.counterexample] == list("qqpq")
+        assert verdict.parameters == {"lag_cap": 1, "caps": [1], "clamped": True}
+        deep = decide_containment(b, a, strict=False, lag_cap=8)
+        assert [l.node for l in deep.counterexample] == list("qqq")
+
+    @pytest.mark.parametrize(
+        "ceiling, caps", [(8, [1, 2, 4, 8]), (5, [1, 2, 4, 5])]
+    )
+    def test_unknown_saturated_at_ceiling(self, ceiling, caps):
+        b, a = random_automaton_pair(845)
+        verdict = decide_containment(b, a, strict=False, lag_cap=ceiling)
+        assert verdict.status == "UNKNOWN_SATURATED"
+        assert verdict.counterexample is None
+        assert verdict.parameters == {
+            "lag_cap": ceiling, "caps": caps, "clamped": True
+        }

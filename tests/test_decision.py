@@ -18,6 +18,8 @@ class TestDecideOrderFixtures:
         verdict = decide_order(loop2, Q, strict=False)
         assert verdict.status == "HOLDS"
         assert verdict.thresholds.n_bound == 6
+        # Cap 1 already closes the exploration without a violation.
+        assert verdict.containment.parameters["caps"] == [1]
 
     def test_loop2_lt_fails_with_counterexample(self, loop2):
         verdict = decide_order(loop2, Q, strict=True)
