@@ -228,15 +228,7 @@ def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
                 finals.add(State.node_value(node_id, value))
 
     b = _Builder()
-    b.add(start, Letter.node_ref(query.node), State.node_value(query.node, query.con_value), ZERO)
-    for parent, child in proof.edges():
-        for (src, dst), weight in proof.pairs(parent, child, RIGHT).items():
-            b.add(
-                State.node_value(parent, src),
-                Letter.node_ref(child),
-                State.node_value(child, dst),
-                weight,
-            )
+    _trace_transitions(proof, query, RIGHT, b)
     for node_id, node in proof.nodes.items():
         if not node.axiomatic:
             continue
@@ -256,17 +248,23 @@ def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
     )
 
 
-def _antecedent_core(proof: Proof, query: TracePairQuery, b: _Builder):
-    start = State.start()
-    b.add(start, Letter.node_ref(query.node), State.node_value(query.node, query.ant_value), ZERO)
+def _trace_transitions(proof: Proof, query: TracePairQuery, side: str, b: _Builder):
+    """The start transition into the query's value on ``side``, then one
+    transition per trace pair of every edge on that side."""
+    value = query.ant_value if side == LEFT else query.con_value
+    b.add(State.start(), Letter.node_ref(query.node), State.node_value(query.node, value), ZERO)
     for parent, child in proof.edges():
-        for (src, dst), weight in proof.pairs(parent, child, LEFT).items():
+        for (src, dst), weight in proof.pairs(parent, child, side).items():
             b.add(
                 State.node_value(parent, src),
                 Letter.node_ref(child),
                 State.node_value(child, dst),
                 weight,
             )
+
+
+def _antecedent_core(proof: Proof, query: TracePairQuery, b: _Builder):
+    _trace_transitions(proof, query, LEFT, b)
     bot = State.bot()
     for node_id, node in proof.nodes.items():
         if not node.axiomatic:

@@ -71,10 +71,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     proof = load_proof(args.file)
     report = validate(proof)
     payload = {
-        "violations": [
-            {"kind": v.kind, "location": v.location, "detail": v.detail}
-            for v in report.violations
-        ],
+        "violations": [v.to_json() for v in report.violations],
         "trace_injective": report.trace_injective,
         "nodes": len(proof.nodes),
     }
@@ -93,10 +90,7 @@ def _cmd_soundness(args) -> tuple[int, dict, list[str]]:
     payload = {"verdict": report.verdict}
     human = [f"global soundness: {report.verdict}"]
     if report.witness is not None:
-        payload["witness"] = {
-            "prefix": list(report.witness.prefix),
-            "cycle": list(report.witness.cycle),
-        }
+        payload["witness"] = report.witness.to_json()
         human.append(f"  lasso prefix: {' '.join(report.witness.prefix)}")
         human.append(f"  lasso cycle:  {' '.join(report.witness.cycle)}")
     return (EXIT_OK if report.sound else EXIT_FAIL), payload, human

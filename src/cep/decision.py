@@ -93,10 +93,7 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
             {
                 "stage": "validation",
                 "ok": False,
-                "violations": [
-                    {"kind": v.kind, "location": v.location, "detail": v.detail}
-                    for v in structural
-                ],
+                "violations": [v.to_json() for v in structural],
             }
         )
         return reasons
@@ -106,10 +103,7 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
             {
                 "stage": "global_soundness",
                 "ok": False,
-                "witness": {
-                    "prefix": list(soundness.witness.prefix),
-                    "cycle": list(soundness.witness.cycle),
-                },
+                "witness": soundness.witness.to_json(),
                 "note": "the ordering is defined over sound cyclic proofs only",
             }
         )
@@ -144,6 +138,8 @@ def decide_order(
     lag_cap: int = 64,
     oracle_len: int = 12,
 ) -> OrderVerdict:
+    if lag_cap < 1:
+        raise ValueError("lag cap must be positive")
     relation = "lt" if strict else "leq"
     gates = applicability_gates(proof, query)
     if gates is not None:

@@ -9,8 +9,11 @@ The cycle checks go through graph reductions rather than literal cycle
 enumeration: a zero-size simple cycle exists iff the zero-weight subgraph
 of (node, value) pairs has a cycle, and binary balance holds iff the
 difference weights admit a consistent potential on every strongly
-connected component of the paired value graph.  Literal enumeration stays
-available in the traces module and backs the tests.
+connected component of the paired (node, value, value) graph.  Both graphs
+are built from :func:`cep.traces.steps` (one and two trace values), and
+the potential and the unbalanced witness cycle come from
+:func:`cep.traces.bfs_tree` paths.  Literal enumeration stays available in
+the traces module and backs the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from .ordinal import ZERO, Ordinal
 from .proofgraph import LEFT, RIGHT, Proof
-from .traces import reachable_pairs, sccs
+from .traces import bfs_tree, reachable_pairs, sccs, steps, tree_path
 
 __all__ = [
     "Thresholds",
@@ -141,15 +144,10 @@ def _zero_subgraph_cycle(proof: Proof, side: str, restrict) -> list | None:
     """A cycle of zero-weight trace steps within the restricted pairs,
     as an alternating witness, or None."""
     succ: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for parent, child in proof.edges():
-        for (src, dst), weight in proof.pairs(parent, child, side).items():
-            if not weight.is_zero():
-                continue
-            a, b = (parent, src), (child, dst)
-            if a in restrict and b in restrict:
-                succ.setdefault(a, []).append(b)
-    for targets in succ.values():
-        targets.sort()
+    for a in restrict:
+        targets = [b for b, (weight,) in steps(proof, side, a) if weight.is_zero()]
+        if targets:
+            succ[a] = targets
     color: dict[tuple[str, str], int] = {}
     parent_of: dict[tuple[str, str], tuple[str, str]] = {}
 
@@ -223,23 +221,19 @@ def _binary_graph(proof: Proof, query):
         if (node_id, v1) in reachable and (node_id, v2) in reachable
     )
     index = {t: i for i, t in enumerate(triples)}
-    edges: dict[int, list[tuple[int, int]]] = {i: [] for i in index.values()}
-    for parent, child in proof.edges():
-        pairs = proof.pairs(parent, child, LEFT)
-        for (s1, d1), w1 in pairs.items():
-            for (s2, d2), w2 in pairs.items():
-                a = index.get((parent, s1, s2))
-                b = index.get((child, d1, d2))
-                if a is None or b is None:
-                    continue
-                if not (w1.is_finite() and w2.is_finite()):
-                    raise InfiniteWeightError(
-                        "infinite weight on a reachable pair; run the "
-                        "finitely-progressing check first"
-                    )
-                edges[a].append((b, w1.to_int() - w2.to_int()))
-    for targets in edges.values():
-        targets.sort()
+    edges: dict[int, list[tuple[int, int]]] = {}
+    for a, triple in enumerate(triples):
+        edges[a] = []
+        for target, (w1, w2) in steps(proof, LEFT, triple):
+            b = index.get(target)  # None when a pair leaves the child's values
+            if b is None:
+                continue
+            if not (w1.is_finite() and w2.is_finite()):
+                raise InfiniteWeightError(
+                    "infinite weight on a reachable pair; run the "
+                    "finitely-progressing check first"
+                )
+            edges[a].append((b, w1.to_int() - w2.to_int()))
     return triples, edges
 
 
@@ -251,46 +245,26 @@ def check_balanced(proof: Proof, query) -> RestrictionReport:
     trimmed to a simple one."""
     query.check(proof)
     triples, edges = _binary_graph(proof, query)
-    n = len(triples)
-    comp_of = {}
     adjacency = {v: [w for w, _d in targets] for v, targets in edges.items()}
-    for comp_id, comp in enumerate(sccs(n, adjacency)):
-        for v in comp:
-            comp_of[v] = comp_id
-
     witnesses = []
-    seen_comp = set()
-    for start in range(n):
-        comp = comp_of[start]
-        if comp in seen_comp:
-            continue
-        seen_comp.add(comp)
-        members = [v for v in range(n) if comp_of[v] == comp]
-        pot = {start: 0}
-        tree: dict[int, tuple[int, int]] = {}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w, d in edges.get(v, ()):
-                if comp_of[w] != comp:
-                    continue
-                if w not in pot:
-                    pot[w] = pot[v] + d
-                    tree[w] = (v, d)
-                    queue.append(w)
-        bad = None
-        for v in members:
-            for w, d in edges.get(v, ()):
-                if comp_of[w] != comp:
-                    continue
-                if pot[v] + d != pot[w]:
-                    bad = (v, w, d)
-                    break
-            if bad:
-                break
+    for comp in sorted(sccs(len(triples), adjacency)):
+        members = set(comp)
+
+        def inside(v):
+            return [(w, d) for w, d in edges[v] if w in members]
+
+        start = comp[0]
+        tree = bfs_tree(start, inside)
+        pot = {}
+        for v, (parent, d) in tree.items():
+            pot[v] = 0 if parent is None else pot[parent] + d
+        bad = next(
+            ((v, w, d) for v in comp for w, d in inside(v) if pot[v] + d != pot[w]),
+            None,
+        )
         if bad is None:
             continue
-        cycle = _unbalanced_cycle(edges, comp_of, comp, tree, start, *bad)
+        cycle = _unbalanced_cycle(inside, tree, start, *bad)
         trimmed = _trim_to_simple(cycle)
         path = [triples[i] for i, _d in trimmed]
         total = _cycle_total(trimmed)
@@ -307,54 +281,18 @@ def check_balanced(proof: Proof, query) -> RestrictionReport:
     )
 
 
-def _tree_path(tree, root, target):
-    """Root-to-target path along BFS tree edges as (vertex, weight-in)
-    pairs; the first entry carries weight zero."""
-    path = []
-    cursor = target
-    while cursor != root:
-        parent, d = tree[cursor]
-        path.append((cursor, d))
-        cursor = parent
-    path.append((root, 0))
-    path.reverse()
-    return path
-
-
-def _bfs_path(edges, comp_of, comp, src, dst):
-    """Some src-to-dst path inside one component, same representation."""
-    prev: dict[int, tuple[int, int] | None] = {src: None}
-    queue = [src]
-    while queue:
-        v = queue.pop(0)
-        if v == dst:
-            break
-        for w, d in edges.get(v, ()):
-            if comp_of[w] != comp or w in prev:
-                continue
-            prev[w] = (v, d)
-            queue.append(w)
-    path = []
-    cursor = dst
-    while prev[cursor] is not None:
-        v, d = prev[cursor]
-        path.append((cursor, d))
-        cursor = v
-    path.append((src, 0))
-    path.reverse()
-    return path
-
-
-def _unbalanced_cycle(edges, comp_of, comp, tree, root, v, w, d):
+def _unbalanced_cycle(inside, tree, root, v, w, d):
     """A cycle with non-zero total difference, derived from the
     inconsistent edge (v, w).  With R a return path from w to the BFS
     root, the cycles (root->v, v->w, R) and (root->w, R) differ by the
-    inconsistency, so at least one of them is unbalanced."""
-    back = _bfs_path(edges, comp_of, comp, w, root)
-    cycle = _tree_path(tree, root, v) + [(w, d)] + back[1:]
+    inconsistency, so at least one of them is unbalanced.  Cycles are
+    lists of (vertex, incoming difference) pairs whose first label is
+    unused."""
+    back = tree_path(bfs_tree(w, inside), root)
+    cycle = tree_path(tree, v) + [(w, d)] + back[1:]
     if _cycle_total(cycle) != 0:
         return cycle
-    return _tree_path(tree, root, w) + back[1:]
+    return tree_path(tree, w) + back[1:]
 
 
 def _cycle_total(cycle):

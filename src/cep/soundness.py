@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .proofgraph import LEFT, Proof
+from .traces import bfs_tree, tree_path
 
 log = logging.getLogger("cep.soundness")
 
@@ -76,6 +77,9 @@ class Lasso:
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
 
+    def to_json(self) -> dict:
+        return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
+
 
 @dataclass(frozen=True)
 class SoundnessReport:
@@ -118,19 +122,12 @@ def _closure(proof: Proof):
 
 
 def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
-    if proof.root == target:
-        return (proof.root,)
-    seen = {proof.root: (proof.root,)}
-    queue = deque([proof.root])
-    while queue:
-        current = queue.popleft()
-        for child in proof.node(current).children:
-            if child not in seen:
-                seen[child] = seen[current] + (child,)
-                if child == target:
-                    return seen[child]
-                queue.append(child)
-    return (target,)  # cycle not reachable from the root; infinite paths exist anyway
+    tree = bfs_tree(
+        proof.root, lambda node: [(c, None) for c in proof.node(node).children]
+    )
+    if target not in tree:
+        return (target,)  # cycle not reachable from the root; infinite paths exist anyway
+    return tuple(node for node, _ in tree_path(tree, target))
 
 
 def check_global_soundness(proof: Proof) -> SoundnessReport:

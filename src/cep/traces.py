@@ -1,8 +1,11 @@
 """Paths, traces and the follows relation; reverse-sum trace sizes;
 maximal-trace classification; cycle and reachability analysis over
-(node, value) pairs.  The graph primitives shared with the automata and
-the restriction checks live here too: :func:`closure` (every vertex
-reachable from a set of starts) and :func:`sccs` (iterative Tarjan).
+(node, value) pairs.  Every walk in the trace graph goes through
+:func:`steps`, the step relation of a node and a tuple of trace values.
+The graph primitives shared with the automata, the restriction checks and
+soundness live here too: :func:`closure` (every vertex reachable from a
+set of starts), :func:`bfs_tree` and :func:`tree_path` (breadth-first
+witness paths) and :func:`sccs` (iterative Tarjan).
 
 A trace may be shorter than the path it follows: it is always aligned to
 the path's first ``len(trace)`` nodes.
@@ -10,7 +13,9 @@ the path's first ``len(trace)`` nodes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 from .ordinal import ZERO, Ordinal, ord_add
 from .proofgraph import LEFT, RIGHT, SIDES, Proof
@@ -28,7 +33,10 @@ __all__ = [
     "simple_binary_cycles",
     "traces_on_path",
     "reachable_pairs",
+    "steps",
     "closure",
+    "bfs_tree",
+    "tree_path",
     "sccs",
 ]
 
@@ -130,7 +138,7 @@ def classify_right_trace(proof: Proof, path: Path, trace: Trace) -> TraceClassif
         raise ValueError("trace does not follow the path")
     final_node = proof.node(path.nodes[len(trace) - 1])
     final_value = trace.values[-1]
-    terminal = _terminal_at(proof, final_node.id, final_value, RIGHT)
+    terminal = not steps(proof, RIGHT, (final_node.id, final_value))
     return TraceClassification(
         maximal=terminal,
         positive=final_value not in final_node.excluded,
@@ -140,23 +148,25 @@ def classify_right_trace(proof: Proof, path: Path, trace: Trace) -> TraceClassif
     )
 
 
-def _terminal_at(proof: Proof, node_id: str, value: str, side: str) -> bool:
-    node = proof.node(node_id)
-    for child in set(node.children):
-        for src, _dst in proof.pairs(node_id, child, side):
-            if src == value:
-                return False
-    return True
-
-
-def _successors(proof: Proof, node_id: str, value: str, side: str):
-    """Sorted (child, next value, weight) steps of a (node, value) pair."""
-    node = proof.node(node_id)
+def steps(proof: Proof, side: str, vertex: tuple) -> list[tuple[tuple, tuple]]:
+    """The trace steps out of ``vertex = (node, v1, ..., vk)``, sorted: for
+    each child and each choice of trace pairs ``(vi, di)`` on that edge,
+    ``((child, d1, ..., dk), (w1, ..., wk))`` with the pairs' weights.  A
+    vertex is terminal when it has no steps."""
+    node_id = vertex[0]
     out = []
-    for child in sorted(set(node.children)):
-        for (src, dst), weight in sorted(proof.pairs(node_id, child, side).items()):
-            if src == value:
-                out.append((child, dst, weight))
+    for child in set(proof.node(node_id).children):
+        pairs = proof.pairs(node_id, child, side).items()
+        partial = [((child,), ())]
+        for value in vertex[1:]:
+            partial = [
+                (target + (dst,), weights + (weight,))
+                for target, weights in partial
+                for (src, dst), weight in pairs
+                if src == value
+            ]
+        out += partial
+    out.sort()
     return out
 
 
@@ -175,16 +185,16 @@ def enumerate_right_maximal(
     stack = [((node_id,), (value,))]
     while stack:
         nodes, values = stack.pop()
-        current_node, current_value = nodes[-1], values[-1]
-        if _terminal_at(proof, current_node, current_value, RIGHT):
-            if current_value not in proof.node(current_node).excluded:
+        nexts = steps(proof, RIGHT, (nodes[-1], values[-1]))
+        if not nexts:
+            if values[-1] not in proof.node(nodes[-1]).excluded:
                 results.append(
                     (Path(nodes), Trace(side=RIGHT, values=values))
                 )
             continue
         if len(nodes) >= max_path_len:
             continue
-        for child, dst, _w in _successors(proof, current_node, current_value, RIGHT):
+        for (child, dst), _w in nexts:
             stack.append((nodes + (child,), values + (dst,)))
     results.sort(key=lambda pt: (pt[0].nodes, pt[1].values))
     return results
@@ -196,74 +206,39 @@ def simple_cycles(proof: Proof, side: str) -> list[tuple[Path, Trace]]:
     other than the root at both ends."""
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    results: list[tuple[Path, Trace]] = []
-    roots = sorted(
-        (node_id, value)
-        for node_id, node in proof.nodes.items()
-        for value in node.values(side)
-    )
-    for root in roots:
-        stack = [((root[0],), (root[1],), frozenset([root]))]
-        while stack:
-            nodes, values, on_path = stack.pop()
-            for child, dst, _w in _successors(proof, nodes[-1], values[-1], side):
-                step = (child, dst)
-                if step == root:
-                    results.append(
-                        (
-                            Path(nodes + (child,)),
-                            Trace(side=side, values=values + (dst,)),
-                        )
-                    )
-                elif step not in on_path:
-                    stack.append(
-                        (nodes + (child,), values + (dst,), on_path | {step})
-                    )
-    results.sort(key=lambda pt: (pt[0].nodes, pt[1].values))
-    return results
+    return _simple_cycles(proof, side, 1)
 
 
 def simple_binary_cycles(proof: Proof) -> list[tuple[Path, Trace, Trace]]:
     """All simple binary cycles of left-hand trace pairs.  Repetition is
     judged on (node, value, value) triples, so the component traces need
     not be simple cycles themselves."""
-    results: list[tuple[Path, Trace, Trace]] = []
+    return _simple_cycles(proof, LEFT, 2)
+
+
+def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
+    """Every simple cycle of ``(node, v1, ..., vk)`` vertices, rooted at
+    each vertex it visits, as ``(Path, Trace, ..., Trace)`` sorted by the
+    path and then the traces in turn."""
     roots = sorted(
-        (node_id, v1, v2)
+        (node_id, *values)
         for node_id, node in proof.nodes.items()
-        for v1 in node.ant_values
-        for v2 in node.ant_values
+        for values in product(node.values(side), repeat=k)
     )
+    walks = []
     for root in roots:
-        stack = [((root[0],), (root[1],), (root[2],), frozenset([root]))]
+        stack = [((root,), frozenset([root]))]
         while stack:
-            nodes, vals1, vals2, on_path = stack.pop()
-            steps1 = _successors(proof, nodes[-1], vals1[-1], LEFT)
-            steps2 = _successors(proof, nodes[-1], vals2[-1], LEFT)
-            for child1, dst1, _w1 in steps1:
-                for child2, dst2, _w2 in steps2:
-                    if child1 != child2:
-                        continue
-                    triple = (child1, dst1, dst2)
-                    if triple == root:
-                        results.append(
-                            (
-                                Path(nodes + (child1,)),
-                                Trace(side=LEFT, values=vals1 + (dst1,)),
-                                Trace(side=LEFT, values=vals2 + (dst2,)),
-                            )
-                        )
-                    elif triple not in on_path:
-                        stack.append(
-                            (
-                                nodes + (child1,),
-                                vals1 + (dst1,),
-                                vals2 + (dst2,),
-                                on_path | {triple},
-                            )
-                        )
-    results.sort(key=lambda pt: (pt[0].nodes, pt[1].values, pt[2].values))
-    return results
+            walk, on_walk = stack.pop()
+            for vertex, _w in steps(proof, side, walk[-1]):
+                if vertex == root:
+                    walks.append(walk + (vertex,))
+                elif vertex not in on_walk:
+                    stack.append((walk + (vertex,), on_walk | {vertex}))
+    return [
+        (Path(nodes), *(Trace(side=side, values=values) for values in traces))
+        for nodes, *traces in sorted(tuple(zip(*walk)) for walk in walks)
+    ]
 
 
 def traces_on_path(
@@ -308,10 +283,7 @@ def reachable_pairs(
             f"value {value!r} is not a {side} value of node {node_id!r}"
         )
 
-    def steps(pair):
-        return [(child, dst) for child, dst, _w in _successors(proof, *pair, side)]
-
-    return closure([start], steps)
+    return closure([start], lambda pair: [t for t, _w in steps(proof, side, pair)])
 
 
 def closure(starts, successors) -> set:
@@ -325,6 +297,34 @@ def closure(starts, successors) -> set:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def bfs_tree(start, successors) -> dict:
+    """The breadth-first search tree from ``start``: each reached vertex
+    maps to ``(parent, label)`` of the edge that first reached it, in FIFO
+    discovery order; the start maps to ``(None, None)``.  ``successors``
+    maps a vertex to its ``(vertex, label)`` out-edges."""
+    tree = {start: (None, None)}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w, label in successors(v):
+            if w not in tree:
+                tree[w] = (v, label)
+                queue.append(w)
+    return tree
+
+
+def tree_path(tree: dict, target) -> list[tuple]:
+    """The ``(vertex, label)`` steps along ``tree`` from its start to
+    ``target``; the start comes first, labelled None."""
+    path = []
+    while target is not None:
+        parent, label = tree[target]
+        path.append((target, label))
+        target = parent
+    path.reverse()
+    return path
 
 
 def sccs(n: int, edges: dict[int, list[int]]) -> list[list[int]]:

@@ -44,8 +44,25 @@ class TestExitCodes:
         parameters = report["report"]["containment"]["parameters"]
         assert parameters == {"lag_cap": 64, "caps": [1], "clamped": True}
 
-    def test_order_lag_cap_must_be_positive(self, capsys):
-        assert run_cli(["order", LOOP2, *ORDER_ARGS, "--lag-cap", "0"]) == 2
+    @pytest.mark.parametrize(
+        "flat_cycle, extra",
+        [
+            (False, ["--lag-cap", "0"]),
+            (False, ["--engine", "oracle", "--lag-cap", "-3"]),
+            (True, ["--lag-cap", "0"]),
+        ],
+        ids=["lagset", "oracle_engine", "gated_out"],
+    )
+    def test_order_lag_cap_must_be_positive(self, capsys, tmp_path, flat_cycle, extra):
+        doc = fixture_doc("loop2")
+        if flat_cycle:
+            # A flat left cycle: the dynamic gate rejects the query.
+            for entry in doc["delta"]:
+                if entry["from"] == "n0" and entry["side"] == "left":
+                    entry["pairs"] = [["a", "a", "0"]]
+        path = tmp_path / "loop2.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["order", str(path), *ORDER_ARGS, *extra]) == 2
         assert "lag cap must be positive" in capsys.readouterr().err
 
     def test_order_strict_fails(self, capsys):
@@ -134,12 +151,36 @@ class TestExitCodes:
         assert code == 0
         assert len(report["report"]["cycles"]) == 2
 
+    def test_traces_binary_cycles(self, capsys):
+        code, report = run_json(capsys, "traces", LOOP2, "--cycles", "binary")
+        assert code == 0
+        diagonal = ["a", "a", "a"]
+        assert report["report"] == {
+            "cycles": [
+                {"path": ["n0", "n1", "n0"], "trace": diagonal, "trace_other": diagonal},
+                {"path": ["n1", "n0", "n1"], "trace": diagonal, "trace_other": diagonal},
+            ],
+            "kind": "binary",
+        }
+
     def test_oracle(self, capsys):
         code, report = run_json(
             capsys, "oracle", LOOP2, *ORDER_ARGS, "--strict", "--max-len", "8"
         )
         assert code == 3
         assert report["report"]["counterexample"]["path"] == ["n0", "n1", "n2"]
+
+    def test_oracle_no_counterexample(self, capsys):
+        code, out = run(capsys, "oracle", LOOP2, *ORDER_ARGS, "--max-len", "8")
+        assert code == 0
+        assert out == "no counterexample up to path length 8\n"
+        code, report = run_json(capsys, "oracle", LOOP2, *ORDER_ARGS, "--max-len", "8")
+        assert code == 0
+        assert report["report"] == {
+            "max_path_len": 8,
+            "strict": False,
+            "counterexample": None,
+        }
 
 
 class TestAutomataAndContain:
@@ -161,6 +202,18 @@ class TestAutomataAndContain:
         assert report["report"]["kind"] == "consequent"
         assert dot.read_text().startswith("digraph {")
         assert json.loads(saved.read_text())["kind"] == "consequent"
+
+    def test_automata_full(self, capsys):
+        code, report = run_json(capsys, "automata", LOOP2, *ORDER_ARGS, "--full")
+        assert code == 0
+        assert report["report"] == {
+            "kind": "antecedent_full",
+            "approx_level": None,
+            "states": 6,
+            "reachable_states": 6,
+            "finals": 5,
+            "transitions": 11,
+        }
 
     def test_contain_round_trip(self, capsys, tmp_path):
         b_path = tmp_path / "b.json"

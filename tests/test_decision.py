@@ -49,6 +49,41 @@ class TestDecideOrderFixtures:
         assert verdict.status == "NOT_APPLICABLE"
         assert any(r["stage"] == "trace_injectivity" for r in verdict.reasons)
 
+    def test_value_on_both_sides_not_applicable(self):
+        doc = fixture_doc("loop2")
+        doc["nodes"][1]["con_values"].append("a")
+        verdict = decide_order(proof_from_doc(doc), Q)
+        assert verdict.status == "NOT_APPLICABLE"
+        assert verdict.reasons == (
+            {
+                "stage": "validation",
+                "ok": False,
+                "violations": [
+                    {
+                        "kind": "namespace_overlap",
+                        "location": "value 'a'",
+                        "detail": "value occurs on both antecedent and consequent sides",
+                    }
+                ],
+            },
+        )
+
+    def test_unreachable_left_omega_leaves_bound_undefined(self):
+        # (n0, b) is unreachable from (n0, a), so the gates pass, but its
+        # infinite step is the largest left weight.
+        doc = fixture_doc("loop2")
+        for node in doc["nodes"][:2]:
+            node["ant_values"].append("b")
+        doc["delta"][0]["pairs"].append(["b", "b", "w"])
+        verdict = decide_order(proof_from_doc(doc), Q)
+        assert verdict.status == "NOT_APPLICABLE"
+        assert verdict.thresholds.n_bound is None
+        assert verdict.reasons[-1] == {
+            "stage": "thresholds",
+            "ok": False,
+            "note": "approximation bound undefined: max step is infinite",
+        }
+
     def test_restriction_failure_not_applicable(self):
         # Zero out the right-hand progression: the proof stays globally
         # sound (the left side still descends) but the right cycle is flat.

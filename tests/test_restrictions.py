@@ -21,7 +21,14 @@ from cep.traces import (
     simple_binary_cycles,
     simple_cycles,
 )
-from conftest import all_paths, fixture_doc, proof_from_doc, random_proof, traces_following
+from conftest import (
+    all_paths,
+    fixture_doc,
+    load_fixture,
+    proof_from_doc,
+    random_proof,
+    traces_following,
+)
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -207,6 +214,34 @@ class TestBalanced:
             if e["from"] == "n1":
                 e["child_index"] = 0
         assert check_balanced(proof_from_doc(doc), Q).passed
+
+    def test_witness_from_return_cycle(self):
+        # The cycle through the inconsistent edge balances, so the witness
+        # comes from the tree path to its target and the return path.
+        proof = random_proof(0, max_nodes=6, weights=(0, 1, 2, 3))
+        report = check_balanced(proof, TracePairQuery(proof.root, "a0", "c0"))
+        assert report.witnesses == (
+            {
+                "path": ["n2", "n2", "n2"],
+                "trace": ["a1", "a1", "a1"],
+                "trace_other": ["a1", "a0", "a1"],
+                "difference": -2,
+            },
+        )
+
+    def test_witness_trimmed_to_outer_cycle(self):
+        # Trimming the repeated vertex keeps the outer part of the cycle,
+        # because the inner part balances.
+        proof = load_fixture("unbalanced3")
+        report = check_balanced(proof, TracePairQuery("n0", "a0", "c0"))
+        assert report.witnesses == (
+            {
+                "path": ["n0", "n0", "n0"],
+                "trace": ["a2", "a0", "a2"],
+                "trace_other": ["a2", "a1", "a2"],
+                "difference": -3,
+            },
+        )
 
     def test_infinite_weight_instructs(self):
         doc = fixture_doc("loop2")

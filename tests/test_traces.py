@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from cep.ordinal import OMEGA, ZERO, Ordinal, ord_add
@@ -13,11 +15,13 @@ from cep.traces import (
     prog_points,
     simple_binary_cycles,
     simple_cycles,
+    steps,
 )
 from conftest import (
     all_paths,
     fixture_doc,
     proof_from_doc,
+    random_corpus,
     random_proof,
     traces_following,
 )
@@ -166,6 +170,25 @@ class TestEnumerateRightMaximal:
                 assert len(path) == len(trace)
                 cls = classify_right_trace(proof, path, trace)
                 assert cls.maximal and cls.positive
+
+
+class TestSteps:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_pair_maps(self, side, k):
+        # Brute force: every k-tuple of trace pairs on each child edge,
+        # kept when its sources are the vertex's values.
+        for proof in random_corpus(40, 16_000):
+            for node_id, node in proof.nodes.items():
+                for values in product(sorted(node.values(side)), repeat=k):
+                    expected = []
+                    for child in set(node.children):
+                        items = proof.pairs(node_id, child, side).items()
+                        for choice in product(items, repeat=k):
+                            if [src for (src, _d), _w in choice] == list(values):
+                                target = (child, *(dst for (_s, dst), _w in choice))
+                                expected.append((target, tuple(w for _p, w in choice)))
+                    assert steps(proof, side, (node_id, *values)) == sorted(expected)
 
 
 class TestSimpleCycles:
