@@ -25,11 +25,19 @@ letters before pair letters.
 State weights follow the construction: a transition carries the trace
 pair weight exactly when both its endpoints are node/value states, and
 weight zero otherwise.
+
+The sink chains of the approximate antecedent automaton are a rule, not a
+table: its ``states``, ``finals`` and ``transitions`` are read-only views
+that answer membership and ``transitions.get`` for a chain state from the
+rule, so the containment search reads only the chain transitions it
+takes.  Iterating them, as export, ambiguity and reachability do, lists
+the full table once, from the same rule.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -154,10 +162,10 @@ class TracePairQuery:
 @dataclass(frozen=True)
 class WeightedAutomaton:
     kind: str  # "consequent" | "antecedent_full" | "antecedent_approx"
-    states: frozenset[State]
+    states: Set[State]
     initial: State
-    finals: frozenset[State]
-    transitions: dict[tuple[State, Letter], dict[State, Ordinal]] = field(hash=False)
+    finals: Set[State]
+    transitions: Mapping[tuple[State, Letter], Mapping[State, Ordinal]] = field(hash=False)
     alphabet: frozenset[Letter] = frozenset()
     approx_level: int | None = None
 
@@ -195,12 +203,8 @@ def _letter_alphabet(proof: Proof) -> frozenset[Letter]:
     return frozenset(letters)
 
 
-class _Builder:
-    def __init__(self):
-        self.transitions: dict[tuple[State, Letter], dict[State, Ordinal]] = {}
-
-    def add(self, src: State, letter: Letter, dst: State, weight: Ordinal):
-        self.transitions.setdefault((src, letter), {})[dst] = weight
+def _add(transitions: dict, src: State, letter: Letter, dst: State, weight: Ordinal):
+    transitions.setdefault((src, letter), {})[dst] = weight
 
 
 def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
@@ -227,8 +231,8 @@ def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
                 # states are unreachable but belong to the full product.
                 finals.add(State.node_value(node_id, value))
 
-    b = _Builder()
-    _trace_transitions(proof, query, RIGHT, b)
+    transitions: dict = {}
+    _trace_transitions(proof, query, RIGHT, transitions)
     for node_id, node in proof.nodes.items():
         if not node.axiomatic:
             continue
@@ -236,26 +240,33 @@ def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
             if value in node.ground or value in node.excluded:
                 continue
             letter = Letter.value_pair(proof.equated_ants(node_id, value), value)
-            b.add(State.node_value(node_id, value), letter, bot, ZERO)
+            _add(transitions, State.node_value(node_id, value), letter, bot, ZERO)
 
     return WeightedAutomaton(
         kind="consequent",
         states=frozenset(states),
         initial=start,
         finals=frozenset(finals),
-        transitions=b.transitions,
+        transitions=transitions,
         alphabet=_letter_alphabet(proof),
     )
 
 
-def _trace_transitions(proof: Proof, query: TracePairQuery, side: str, b: _Builder):
+def _trace_transitions(proof: Proof, query: TracePairQuery, side: str, transitions: dict):
     """The start transition into the query's value on ``side``, then one
     transition per trace pair of every edge on that side."""
     value = query.ant_value if side == LEFT else query.con_value
-    b.add(State.start(), Letter.node_ref(query.node), State.node_value(query.node, value), ZERO)
+    _add(
+        transitions,
+        State.start(),
+        Letter.node_ref(query.node),
+        State.node_value(query.node, value),
+        ZERO,
+    )
     for parent, child in proof.edges():
         for (src, dst), weight in proof.pairs(parent, child, side).items():
-            b.add(
+            _add(
+                transitions,
                 State.node_value(parent, src),
                 Letter.node_ref(child),
                 State.node_value(child, dst),
@@ -263,8 +274,10 @@ def _trace_transitions(proof: Proof, query: TracePairQuery, side: str, b: _Build
             )
 
 
-def _antecedent_core(proof: Proof, query: TracePairQuery, b: _Builder):
-    _trace_transitions(proof, query, LEFT, b)
+def _antecedent_core(proof: Proof, query: TracePairQuery) -> dict:
+    """The left trace transitions and the axiom edges into bottom."""
+    transitions: dict = {}
+    _trace_transitions(proof, query, LEFT, transitions)
     bot = State.bot()
     for node_id, node in proof.nodes.items():
         if not node.axiomatic:
@@ -273,7 +286,8 @@ def _antecedent_core(proof: Proof, query: TracePairQuery, b: _Builder):
             equated = proof.equated_ants(node_id, con)
             letter = Letter.value_pair(equated, con)
             for ant in equated:
-                b.add(State.node_value(node_id, ant), letter, bot, ZERO)
+                _add(transitions, State.node_value(node_id, ant), letter, bot, ZERO)
+    return transitions
 
 
 def build_antecedent_full(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
@@ -285,22 +299,120 @@ def build_antecedent_full(proof: Proof, query: TracePairQuery) -> WeightedAutoma
     states = {State.node_value(n, v) for n in proof.nodes for v in ant_values}
     states |= {start, bot, top}
 
-    b = _Builder()
-    _antecedent_core(proof, query, b)
+    transitions = _antecedent_core(proof, query)
     for parent, child in proof.edges():
         for value in ant_values:
-            b.add(State.node_value(parent, value), Letter.node_ref(child), top, ZERO)
+            source = State.node_value(parent, value)
+            _add(transitions, source, Letter.node_ref(child), top, ZERO)
     for node_id in proof.nodes:
-        b.add(top, Letter.node_ref(node_id), top, ZERO)
+        _add(transitions, top, Letter.node_ref(node_id), top, ZERO)
 
     return WeightedAutomaton(
         kind="antecedent_full",
         states=frozenset(states),
         initial=start,
         finals=frozenset(states - {start}),
-        transitions=b.transitions,
+        transitions=transitions,
         alphabet=_letter_alphabet(proof),
     )
+
+
+class _ChainStates(Set):
+    """The read-only state set of an approximate antecedent automaton: an
+    explicit core set and the chain states ``⊤l(m)``, one per node ``m``
+    and level ``1 <= l <= n``.  Membership of a chain state is a rule;
+    iteration lists the chain states after the core ones."""
+
+    def __init__(self, core: frozenset, nodes: tuple[str, ...], n: int):
+        self.core, self.nodes, self.n = core, nodes, n
+        self._node_set = frozenset(nodes)
+
+    @classmethod
+    def _from_iterable(cls, states):
+        return frozenset(states)
+
+    __hash__ = Set._hash
+
+    def __contains__(self, state) -> bool:
+        return state in self.core or (
+            isinstance(state, State)
+            and state.kind == CHAIN
+            and not state.value
+            and 1 <= state.level <= self.n
+            and state.node in self._node_set
+        )
+
+    def chains(self):
+        for m in self.nodes:
+            for level in range(1, self.n + 1):
+                yield State.chain(m, level)
+
+    def __iter__(self):
+        yield from self.core
+        yield from self.chains()
+
+    def __len__(self) -> int:
+        return len(self.core) + len(self.nodes) * self.n
+
+
+class _SinkChains(Mapping):
+    """The read-only transitions of an approximate antecedent automaton:
+    an explicit core dict, and the sink chains as a rule.  ``get`` and
+    ``[]`` apply the rule to chain states and read the core for every
+    other state.  Iteration, ``items()``, ``values()`` and ``len`` read
+    the full table, built once from the same rule."""
+
+    def __init__(self, core: dict, states: _ChainStates):
+        self._core = core
+        self._states = states
+        self._letter_of = {m: Letter.node_ref(m) for m in states.nodes}
+        self._table: dict | None = None
+
+    def _chain_targets(self, state: State, letter: Letter) -> dict[State, Ordinal]:
+        """From ``⊤l(m)`` a node letter other than ``m`` loops and ``m``
+        climbs to ``⊤(l+1)(m)`` while ``l < n``; nothing else moves."""
+        if state not in self._states or self._letter_of.get(letter.node) != letter:
+            return {}
+        if letter.node != state.node:
+            return {state: ZERO}
+        if state.level < self._states.n:
+            return {State.chain(state.node, state.level + 1): ZERO}
+        return {}
+
+    def _full(self) -> dict:
+        if self._table is None:
+            table = dict(self._core)
+            for state in self._states.chains():
+                for letter in self._letter_of.values():
+                    targets = self._chain_targets(state, letter)
+                    if targets:
+                        table[(state, letter)] = targets
+            self._table = table
+        return self._table
+
+    def get(self, key, default=None):
+        state, letter = key
+        if state.kind != CHAIN:
+            return self._core.get(key, default)
+        return self._chain_targets(state, letter) or default
+
+    def __getitem__(self, key):
+        targets = self.get(key)
+        if targets is None:
+            raise KeyError(key)
+        return targets
+
+    def __iter__(self):
+        return iter(self._full())
+
+    def __len__(self) -> int:
+        return len(self._full())
+
+    def items(self):
+        return self._full().items()
+
+    def values(self):
+        return self._full().values()
 
 
 def build_antecedent_approx(
@@ -308,54 +420,41 @@ def build_antecedent_approx(
 ) -> WeightedAutomaton:
     """The approximate antecedent automaton: the sink is refined into
     per-node chains of length ``n`` that remember the node read on entry
-    and admit at most ``n`` further occurrences of it (entry included)."""
+    and admit at most ``n`` further occurrences of it (entry included).
+
+    The chains, ``|nodes| · n`` states and about ``|nodes|² · n``
+    transitions, are a rule and not a table: membership in ``states`` and
+    ``finals`` and ``transitions.get`` work them out for the state asked
+    about, so the lag-set search reads only the few it takes.  Iterating
+    the states or the transitions (export, ambiguity, reachability) lists
+    them in full, from the same rule."""
     if n < 1:
         raise ValueError("approximation level must be at least 1")
     query.check(proof)
     ant_values = proof.all_values(LEFT)
     start, bot = State.start(), State.bot()
-    states = {State.node_value(nd, v) for nd in proof.nodes for v in ant_values}
-    states |= {start, bot}
-    states |= {
-        State.chain(node_id, level)
-        for node_id in proof.nodes
-        for level in range(1, n + 1)
-    }
+    core = {State.node_value(nd, v) for nd in proof.nodes for v in ant_values}
+    core |= {start, bot}
+    nodes = tuple(proof.nodes)
+    states = _ChainStates(frozenset(core), nodes, n)
 
-    b = _Builder()
-    _antecedent_core(proof, query, b)
+    transitions = _antecedent_core(proof, query)
     for parent, child in proof.edges():
         for value in ant_values:
-            b.add(
+            _add(
+                transitions,
                 State.node_value(parent, value),
                 Letter.node_ref(child),
                 State.chain(child, 1),
                 ZERO,
             )
-    for node_id in proof.nodes:
-        for level in range(1, n + 1):
-            for other in proof.nodes:
-                if other != node_id:
-                    b.add(
-                        State.chain(node_id, level),
-                        Letter.node_ref(other),
-                        State.chain(node_id, level),
-                        ZERO,
-                    )
-            if level < n:
-                b.add(
-                    State.chain(node_id, level),
-                    Letter.node_ref(node_id),
-                    State.chain(node_id, level + 1),
-                    ZERO,
-                )
 
     return WeightedAutomaton(
         kind="antecedent_approx",
-        states=frozenset(states),
+        states=states,
         initial=start,
-        finals=frozenset(states - {start}),
-        transitions=b.transitions,
+        finals=_ChainStates(frozenset(core - {start}), nodes, n),
+        transitions=_SinkChains(transitions, states),
         alphabet=_letter_alphabet(proof),
         approx_level=n,
     )

@@ -11,7 +11,8 @@ contain``) and deepens toward it from cap 1.
 ``definition_oracle`` is the independent bounded check straight from the
 definition of the ordering: enumerate positive maximal right-hand traces
 up to a path length and search for a matching left-hand trace of at
-least (or strictly greater) size whose endpoint condition holds."""
+least (or strictly greater) size whose endpoint condition holds.  It
+refuses a proof with a structural violation, naming the first one."""
 
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
     query.check(proof)
     reasons: list[dict] = []
     report = validate(proof)
-    structural = [v for v in report.violations if v.kind != "trace_injectivity"]
+    structural = report.structural
     if structural:
         reasons.append(
             {
@@ -221,8 +222,17 @@ def definition_oracle(
     look for a left-hand trace over the same path (of any length up to the
     trace's) whose size dominates and whose ending either meets a grounded
     right trace, or equates with the right trace's final value at an
-    axiomatic endpoint of matching length."""
+    axiomatic endpoint of matching length.
+
+    Raises ``ValueError`` naming the first structural violation of the
+    proof, as the trace search has no meaning on such a proof."""
     query.check(proof)
+    structural = validate(proof).structural
+    if structural:
+        first = structural[0]
+        raise ValueError(
+            f"invalid proof: {first.kind} at {first.location}: {first.detail}"
+        )
     candidates = sorted(
         enumerate_right_maximal(proof, query.node, query.con_value, max_path_len),
         key=lambda pt: (len(pt[0]), pt[0].nodes, pt[1].values),

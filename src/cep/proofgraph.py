@@ -90,6 +90,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def structural(self) -> tuple[Violation, ...]:
+        """The violations other than trace injectivity: a proof with any
+        of them is outside every procedure of the package."""
+        return tuple(v for v in self.violations if v.kind != "trace_injectivity")
+
 
 @dataclass(frozen=True, eq=False)
 class Proof:

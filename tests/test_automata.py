@@ -20,11 +20,12 @@ from cep.automata import (
     language_value,
     run_values,
 )
-from cep.ordinal import BOT, TropicalWeight
+from cep.ordinal import BOT, ZERO, TropicalWeight
 from cep.traces import Path, Trace, enumerate_right_maximal, prog_points
 from conftest import (
     all_paths,
     fixture_doc,
+    load_fixture,
     proof_from_doc,
     random_corpus,
     random_proof,
@@ -134,6 +135,99 @@ class TestBuildAntecedentApprox:
         assert {s for s in full.states if s.kind in core} == {
             s for s in approx.states if s.kind in core
         }
+
+
+def explicit_approx_transitions(proof, query, n):
+    """The approximate antecedent's transitions written out in full: the
+    full automaton's, with each jump into the sink sent to the chain of
+    the node read instead, and every chain transition listed."""
+    top = State.top()
+    table = {}
+    for (src, letter), targets in build_antecedent_full(proof, query).transitions.items():
+        if src != top:
+            table[(src, letter)] = {
+                State.chain(letter.node, 1) if dst == top else dst: weight
+                for dst, weight in targets.items()
+            }
+    for node_id in proof.nodes:
+        for level in range(1, n + 1):
+            chain = State.chain(node_id, level)
+            for other in proof.nodes:
+                if other != node_id:
+                    table[(chain, N(other))] = {chain: ZERO}
+            if level < n:
+                table[(chain, N(node_id))] = {State.chain(node_id, level + 1): ZERO}
+    return table
+
+
+class TestSinkChainRule:
+    """The sink chains of the approximate antecedent are a rule; the
+    rule must answer exactly as the written-out table."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        out = [(load_fixture(name), Q) for name in ("loop2", "strict2", "ambig1")]
+        for proof in [load_fixture("unbalanced3")] + random_corpus(100, 9_000):
+            out.append((proof, TracePairQuery(proof.root, "a0", "c0")))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_table_matches_explicit_construction(self, instances, n):
+        for proof, query in instances:
+            auto = build_antecedent_approx(proof, query, n)
+            assert dict(auto.transitions.items()) == explicit_approx_transitions(
+                proof, query, n
+            )
+            assert len(auto.transitions) == len(dict(auto.transitions.items()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_get_matches_full_table(self, instances, n):
+        for proof, query in instances:
+            auto = build_antecedent_approx(proof, query, n)
+            table = explicit_approx_transitions(proof, query, n)
+            for state in auto.states:
+                for letter in auto.alphabet:
+                    key = (state, letter)
+                    if key in table:
+                        assert auto.transitions.get(key, {}) == table[key]
+                        assert auto.transitions[key] == table[key]
+                    else:
+                        assert auto.transitions.get(key) is None
+                        assert key not in auto.transitions
+                        with pytest.raises(KeyError):
+                            auto.transitions[key]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_states_listed_as_before(self, instances, n):
+        for proof, query in instances:
+            auto = build_antecedent_approx(proof, query, n)
+            full = build_antecedent_full(proof, query)
+            chains = {
+                State.chain(m, level) for m in proof.nodes for level in range(1, n + 1)
+            }
+            expected = frozenset((full.states - {State.top()}) | chains)
+            for listed, want in (
+                (auto.states, expected),
+                (auto.finals, expected - {State.start()}),
+            ):
+                assert set(listed) == want and len(listed) == len(want)
+                assert listed == want and hash(listed) == hash(want)
+
+    def test_foreign_chain_states_absent(self, loop2):
+        auto = build_antecedent_approx(loop2, Q, 2)
+        for state in (
+            State.chain("n1", 0),
+            State.chain("n1", 3),
+            State.chain("n9", 1),
+            State(State.chain("n1", 1).rank, "n1", "a", 1),
+        ):
+            assert state not in auto.states and state not in auto.finals
+            for letter in auto.alphabet:
+                assert auto.transitions.get((state, letter)) is None
+        chain = State.chain("n1", 1)
+        assert auto.transitions.get((chain, Letter.value_pair(["a"], "c"))) is None
+        assert auto.transitions.get((chain, Letter(False, "n0", ("a",)))) is None
+        assert auto.transitions[(chain, N("n0"))] == {chain: ZERO}
 
 
 class TestRunSemantics:
@@ -290,6 +384,12 @@ class TestExportAndJson:
         text = automaton_to_json(build_antecedent_approx(loop2, Q, 2))
         golden = (GOLDENS / "loop2_approx2.json").read_text()
         assert text == golden
+
+    def test_approx_dot_golden(self, ambig1):
+        # Chains on every node letter of ambig1, written out in full.
+        dot = export_dot(build_antecedent_approx(ambig1, Q, 3))
+        golden = (GOLDENS / "ambig1_approx3.dot").read_text()
+        assert dot == golden
 
     def test_dot_labels_escaped(self):
         # A node id with a double quote and a backslash in it.

@@ -182,6 +182,36 @@ class TestExitCodes:
             "counterexample": None,
         }
 
+    @pytest.mark.parametrize(
+        "side, index, values, pair",
+        [
+            ("right", 1, ["c", "d"], ["c", "d", "0"]),
+            ("left", 0, ["a", "b"], ["a", "b", "0"]),
+        ],
+        ids=["right", "left"],
+    )
+    def test_oracle_rejects_invalid_proof(self, capsys, tmp_path, side, index, values, pair):
+        # A second value at n0 with a pair into n1, which lacks it: the
+        # parser accepts the file, validation does not.
+        doc = fixture_doc("loop2")
+        doc["nodes"][0]["con_values" if side == "right" else "ant_values"] = values
+        doc["delta"][index]["pairs"].append(pair)
+        path = tmp_path / "loop2.json"
+        path.write_text(json.dumps(doc))
+        location = f"delta ('n0', child 0, {side})"
+        assert run_cli(["oracle", str(path), *ORDER_ARGS]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid proof: delta_codomain at {location}: "
+            f"target {pair[1]!r} is not a {side} value of 'n1'\n"
+        )
+        code, report = run_json(capsys, "order", str(path), *ORDER_ARGS)
+        assert code == 4
+        (gate,) = report["report"]["reasons"]
+        assert gate["stage"] == "validation"
+        assert [(v["kind"], v["location"]) for v in gate["violations"]] == [
+            ("delta_codomain", location)
+        ]
+
 
 class TestAutomataAndContain:
     def test_automata_dot_and_save(self, capsys, tmp_path):

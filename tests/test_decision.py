@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
+import json
+import tracemalloc
+from pathlib import Path as FilePath
+
 import pytest
 
 from cep.automata import TracePairQuery
@@ -8,6 +13,7 @@ from cep.decision import (
     decide_order,
     definition_oracle,
 )
+from cep.proofgraph import parse_proof
 from conftest import fixture_doc, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
@@ -239,3 +245,30 @@ class TestCoherence:
             assert verdict.status == "NOT_APPLICABLE"
             flipped += 1
         assert flipped > 0
+
+
+def _ring_doc(k: int, w: int) -> dict:
+    """``ring_doc`` of the benchmark inputs, which import nothing from cep."""
+    path = FilePath(__file__).parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ring_doc(k, w)
+
+
+def test_ring40_size_guard():
+    # ring(40, 2) has N = 660: written out in full, its approximate
+    # antecedent would have about a million chain transitions.
+    proof = parse_proof(json.dumps(_ring_doc(40, 2)))
+    query = TracePairQuery("n0", "a0", "c0")
+    tracemalloc.start()
+    try:
+        statuses = [
+            decide_order(proof, query, strict=strict, lag_cap=8).status
+            for strict in (False, True)
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert statuses == ["HOLDS", "HOLDS"]
+    assert peak < 50 * 2**20
