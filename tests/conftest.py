@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from pathlib import Path as FilePath
@@ -27,6 +28,16 @@ def fixture_doc(name: str) -> dict:
 
 def proof_from_doc(doc: dict) -> Proof:
     return parse_proof(json.dumps(doc))
+
+
+def bench_inputs():
+    """The benchmark's input generators, ``bench/inputs.py``, loaded by
+    path; they import nothing from cep."""
+    path = FIXTURES.parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def set_in(doc, path: tuple, value) -> None:

@@ -82,6 +82,30 @@ class TestExitCodes:
         code, _ = run(capsys, "soundness", LOOP2)
         assert code == 0
 
+    def test_soundness_left_pair_names_consequent_value(self, capsys, tmp_path):
+        # The soundness command does not validate, so a left pair may name
+        # a consequent value; the closure still indexes it.
+        doc = fixture_doc("loop2")
+        doc["delta"][0]["pairs"] = [["a", "c", "1"]]
+        path = tmp_path / "loop2.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "soundness", str(path))
+        assert code == 3
+        assert report == {
+            "command": ["soundness", str(path), "--json"],
+            "input": [
+                {
+                    "path": str(path),
+                    "sha256": "01c234fe96fa32c47d342a62f81b58ea62356deb93cd28201a0f1df146d0d54f",
+                }
+            ],
+            "report": {
+                "verdict": "unsound",
+                "witness": {"prefix": ["n0"], "cycle": ["n0", "n1", "n0"]},
+            },
+            "exit_code": 3,
+        }
+
     def test_usage_error(self, capsys):
         assert run_cli(["order", LOOP2]) == 2
 

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 import tracemalloc
-from pathlib import Path as FilePath
 
 import pytest
 
@@ -14,7 +12,7 @@ from cep.decision import (
     definition_oracle,
 )
 from cep.proofgraph import parse_proof
-from conftest import fixture_doc, proof_from_doc
+from conftest import bench_inputs, fixture_doc, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -247,19 +245,10 @@ class TestCoherence:
         assert flipped > 0
 
 
-def _ring_doc(k: int, w: int) -> dict:
-    """``ring_doc`` of the benchmark inputs, which import nothing from cep."""
-    path = FilePath(__file__).parent.parent / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.ring_doc(k, w)
-
-
 def test_ring40_size_guard():
     # ring(40, 2) has N = 660: written out in full, its approximate
     # antecedent would have about a million chain transitions.
-    proof = parse_proof(json.dumps(_ring_doc(40, 2)))
+    proof = parse_proof(json.dumps(bench_inputs().ring_doc(40, 2)))
     query = TracePairQuery("n0", "a0", "c0")
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import deque
@@ -8,14 +9,111 @@ import pytest
 
 from cep.proofgraph import LEFT, parse_proof, serialize_proof
 from cep.soundness import (
-    DOWN,
-    FLAT,
+    Lasso,
+    _compose,
+    _edge_relations,
+    _is_bad,
+    _shortest_root_path,
     check_global_soundness,
-    compose,
-    edge_relation,
-    has_progress_loop,
 )
-from conftest import fixture_doc, proof_from_doc, random_proof
+from conftest import bench_inputs, fixture_doc, proof_from_doc, random_proof
+
+# The reference form of sloped relations that the bitmask coding of
+# cep.soundness is checked against: a frozenset of (source value, target
+# value, slope) triples holding at most one slope per value pair, down
+# dominating flat.
+FLAT = 0
+DOWN = 1
+
+
+def _normalize(triples) -> frozenset:
+    best: dict[tuple[str, str], int] = {}
+    for src, dst, slope in triples:
+        key = (src, dst)
+        if best.get(key, -1) < slope:
+            best[key] = slope
+    return frozenset((src, dst, slope) for (src, dst), slope in best.items())
+
+
+def edge_relation(proof, parent: str, child: str) -> frozenset:
+    return _normalize(
+        (src, dst, DOWN if not weight.is_zero() else FLAT)
+        for (src, dst), weight in proof.pairs(parent, child, LEFT).items()
+    )
+
+
+def compose(r1: frozenset, r2: frozenset) -> frozenset:
+    by_src: dict[str, list[tuple[str, int]]] = {}
+    for src, dst, slope in r2:
+        by_src.setdefault(src, []).append((dst, slope))
+    out = []
+    for src, mid, slope1 in r1:
+        for dst, slope2 in by_src.get(mid, ()):
+            out.append((src, dst, max(slope1, slope2)))
+    return _normalize(out)
+
+
+def has_progress_loop(rel: frozenset) -> bool:
+    return any(src == dst and slope == DOWN for src, dst, slope in rel)
+
+
+def reference_soundness(proof):
+    """The full composition closure over frozenset relations (FIFO, sorted
+    children), then the least bad witness by (length, path): the verdict,
+    the lasso and the number of composites."""
+    base = {
+        (parent, child): edge_relation(proof, parent, child)
+        for parent, child in proof.edges()
+    }
+    paths = {}
+    queue = deque()
+    for (parent, child), rel in sorted(base.items()):
+        paths[(parent, child, rel)] = (parent, child)
+        queue.append((parent, child, rel))
+    while queue:
+        src, mid, rel = key = queue.popleft()
+        for child in sorted(proof.node(mid).children):
+            new = (src, child, compose(rel, base[(mid, child)]))
+            if new not in paths:
+                paths[new] = paths[key] + (child,)
+                queue.append(new)
+    bad = [
+        witness
+        for (src, dst, rel), witness in paths.items()
+        if src == dst and compose(rel, rel) == rel and not has_progress_loop(rel)
+    ]
+    if not bad:
+        return True, None, len(paths)
+    cycle = min(bad, key=lambda witness: (len(witness), witness))
+    return False, Lasso(_shortest_root_path(proof, cycle[0]), cycle), len(paths)
+
+
+def decode(proof, coded) -> frozenset:
+    """The frozenset form of a relation coded by ``_edge_relations``."""
+    names = sorted(
+        {v for edge in proof.edges() for pair in proof.pairs(*edge, LEFT) for v in pair}
+    )
+    any_rows, down_rows = coded
+    return frozenset(
+        (names[i], names[j], DOWN if down_rows[i] >> j & 1 else FLAT)
+        for i, row in enumerate(any_rows)
+        for j in range(len(names))
+        if row >> j & 1
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def knots() -> tuple:
+    """The seven (planted soundness, proof) knots of the benchmark's
+    ``knot`` workload, before its renaming."""
+    inputs = bench_inputs()
+    pool = random.Random(1)
+    out = []
+    for i in range(7):
+        sound = i % 2 == 0
+        doc = inputs.knot_doc(pool, 14 + (i // 2) % 3, 5, sound)
+        out.append((sound, parse_proof(json.dumps(doc))))
+    return tuple(out)
 
 
 class TestRelationAlgebra:
@@ -37,6 +135,22 @@ class TestRelationAlgebra:
     def test_progress_loop(self):
         assert has_progress_loop(frozenset({("a", "a", DOWN)}))
         assert not has_progress_loop(frozenset({("a", "a", FLAT), ("a", "b", DOWN)}))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coding_matches_reference(self, seed):
+        proof = random_proof(9_000 + seed)
+        coded = _edge_relations(proof)
+        for (parent, child), rel in coded.items():
+            assert decode(proof, rel) == edge_relation(proof, parent, child)
+            for grandchild in proof.node(child).children:
+                ref = compose(
+                    edge_relation(proof, parent, child),
+                    edge_relation(proof, child, grandchild),
+                )
+                got = _compose(rel, coded[(child, grandchild)])
+                assert decode(proof, got) == ref
+                bad = compose(ref, ref) == ref and not has_progress_loop(ref)
+                assert _is_bad(parent, parent, got) == bad
 
 
 class TestVerdicts:
@@ -81,6 +195,34 @@ class TestVerdicts:
     def test_closure_terminates_and_counts(self, loop2):
         report = check_global_soundness(loop2)
         assert report.relations_explored > 0
+
+    @pytest.mark.parametrize("seed", [*range(8_000, 8_030), *range(9_000, 9_040)])
+    def test_matches_reference_closure(self, seed):
+        proof = random_proof(seed)
+        sound, lasso, relations = reference_soundness(proof)
+        report = check_global_soundness(proof)
+        assert (report.sound, report.witness) == (sound, lasso)
+        if sound:
+            assert report.relations_explored == relations
+        else:
+            assert report.relations_explored <= relations
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_knot_matches_reference_closure(self, index):
+        planted, proof = knots()[index]
+        sound, lasso, _relations = reference_soundness(proof)
+        report = check_global_soundness(proof)
+        assert sound == planted
+        assert (report.sound, report.witness) == (sound, lasso)
+
+    def test_knot_relation_counts(self):
+        # Sound knots explore the whole closure, so equal counts show the
+        # coding keeps composites apart exactly when the triples differ;
+        # unsound knots stop at the first length with a bad composite,
+        # where the full closure holds 4,323 to 8,012.
+        counts = [check_global_soundness(proof).relations_explored for _, proof in knots()]
+        assert counts[0::2] == [1_240, 6_238, 2_368, 4_498]
+        assert all(count <= 30 for count in counts[1::2]), counts
 
     @pytest.mark.parametrize("seed", range(30))
     def test_document_order_invariance(self, seed):
