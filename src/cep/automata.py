@@ -27,18 +27,18 @@ pair weight exactly when both its endpoints are node/value states, and
 weight zero otherwise.
 
 The sink chains of the approximate antecedent automaton are a rule, not a
-table: its ``states``, ``finals`` and ``transitions`` are read-only views
-that answer membership and ``transitions.get`` for a chain state from the
-rule, so the containment search reads only the chain transitions it
-takes.  Iterating them, as export, ambiguity and reachability do, lists
-the full table once, from the same rule.
+table: its ``states``, ``finals`` and ``transitions`` hold only the
+explicit part, and ``chains`` gives the length of the implicit chains.
+Runs read an automaton through ``targets`` and ``is_final``, which apply
+the rule to a chain state, so the containment search reads only the chain
+transitions it takes.  Readers of the whole table (export, ambiguity,
+reachability) call ``table()`` once, which writes the chains out.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import NamedTuple
 
@@ -99,6 +99,7 @@ CHAIN = "chain"
 
 # State kinds in export order; a state's ``rank`` indexes this tuple.
 KINDS = (START, NODE_VALUE, BOT_STATE, TOP, CHAIN)
+_CHAIN_RANK = KINDS.index(CHAIN)
 
 
 class State(NamedTuple):
@@ -161,34 +162,98 @@ class TracePairQuery:
 
 @dataclass(frozen=True)
 class WeightedAutomaton:
+    """A weighted automaton: ``states``, ``finals`` and ``transitions``
+    list its explicit part, and ``chains`` is the length of its implicit
+    sink chains ``⊤l(m)``, one per node letter ``m`` and level
+    ``1 <= l <= chains`` (0: none).  Runs read it through ``targets`` and
+    ``is_final``; whole-table readers read ``table()``."""
+
     kind: str  # "consequent" | "antecedent_full" | "antecedent_approx"
-    states: Set[State]
+    states: frozenset[State]
     initial: State
-    finals: Set[State]
-    transitions: Mapping[tuple[State, Letter], Mapping[State, Ordinal]] = field(hash=False)
+    finals: frozenset[State]
+    transitions: dict[tuple[State, Letter], dict[State, Ordinal]] = field(hash=False)
     alphabet: frozenset[Letter] = frozenset()
     approx_level: int | None = None
+    chains: int = 0
+
+    def _on_chain(self, state: State) -> bool:
+        """Whether ``state`` is one of the implicit chain states."""
+        return (
+            state.rank == _CHAIN_RANK
+            and 0 < state.level <= self.chains
+            and not state.value
+            # The plain tuple equals Letter.node_ref(state.node) and is
+            # cheaper to build on the containment search's hot path.
+            and (False, state.node, (), "") in self.alphabet
+        )
+
+    def targets(self, state: State, letter: Letter) -> dict[State, Ordinal]:
+        """The states ``letter`` leads to from ``state``, with their weights.
+
+        From an implicit chain state ``⊤l(m)`` a node letter other than
+        ``m`` loops and ``m`` climbs to ``⊤(l+1)(m)`` while ``l < chains``;
+        nothing else moves."""
+        if state.rank != _CHAIN_RANK or not self._on_chain(state):
+            return self.transitions.get((state, letter), {})
+        if letter.pair or letter not in self.alphabet:
+            return {}
+        if letter.node != state.node:
+            return {state: ZERO}
+        if state.level < self.chains:
+            return {State.chain(state.node, state.level + 1): ZERO}
+        return {}
+
+    def is_final(self, state: State) -> bool:
+        """Whether ``state`` is final; every implicit chain state is."""
+        return state in self.finals or self._on_chain(state)
+
+    def table(self) -> WeightedAutomaton:
+        """The same automaton with its chains written out as explicit
+        states, finals and transitions; ``self`` when it has none."""
+        if not self.chains:
+            return self
+        letters = [letter for letter in self.alphabet if not letter.pair]
+        chain_states = frozenset(
+            State.chain(letter.node, level)
+            for letter in letters
+            for level in range(1, self.chains + 1)
+        )
+        transitions = dict(self.transitions)
+        for state in chain_states:
+            for letter in letters:
+                targets = self.targets(state, letter)
+                if targets:
+                    transitions[(state, letter)] = targets
+        return replace(
+            self,
+            states=self.states | chain_states,
+            finals=self.finals | chain_states,
+            transitions=transitions,
+            chains=0,
+        )
 
     def transition_triples(self):
         """(src, letter, dst, weight) tuples sorted by src, letter, dst."""
         return sorted(
             (src, letter, dst, weight)
-            for (src, letter), targets in self.transitions.items()
+            for (src, letter), targets in self.table().transitions.items()
             for dst, weight in targets.items()
         )
 
     def reachable_states(self) -> frozenset[State]:
         succ: dict[State, set[State]] = {}
-        for (src, _letter), targets in self.transitions.items():
+        for (src, _letter), targets in self.table().transitions.items():
             succ.setdefault(src, set()).update(targets)
         return frozenset(closure([self.initial], lambda s: succ.get(s, ())))
 
     def co_reachable_states(self) -> frozenset[State]:
+        table = self.table()
         pred: dict[State, set[State]] = {}
-        for (src, _letter), targets in self.transitions.items():
+        for (src, _letter), targets in table.transitions.items():
             for dst in targets:
                 pred.setdefault(dst, set()).add(src)
-        return frozenset(closure(self.finals, lambda s: pred.get(s, ())))
+        return frozenset(closure(table.finals, lambda s: pred.get(s, ())))
 
 
 def _letter_alphabet(proof: Proof) -> frozenset[Letter]:
@@ -317,104 +382,6 @@ def build_antecedent_full(proof: Proof, query: TracePairQuery) -> WeightedAutoma
     )
 
 
-class _ChainStates(Set):
-    """The read-only state set of an approximate antecedent automaton: an
-    explicit core set and the chain states ``⊤l(m)``, one per node ``m``
-    and level ``1 <= l <= n``.  Membership of a chain state is a rule;
-    iteration lists the chain states after the core ones."""
-
-    def __init__(self, core: frozenset, nodes: tuple[str, ...], n: int):
-        self.core, self.nodes, self.n = core, nodes, n
-        self._node_set = frozenset(nodes)
-
-    @classmethod
-    def _from_iterable(cls, states):
-        return frozenset(states)
-
-    __hash__ = Set._hash
-
-    def __contains__(self, state) -> bool:
-        return state in self.core or (
-            isinstance(state, State)
-            and state.kind == CHAIN
-            and not state.value
-            and 1 <= state.level <= self.n
-            and state.node in self._node_set
-        )
-
-    def chains(self):
-        for m in self.nodes:
-            for level in range(1, self.n + 1):
-                yield State.chain(m, level)
-
-    def __iter__(self):
-        yield from self.core
-        yield from self.chains()
-
-    def __len__(self) -> int:
-        return len(self.core) + len(self.nodes) * self.n
-
-
-class _SinkChains(Mapping):
-    """The read-only transitions of an approximate antecedent automaton:
-    an explicit core dict, and the sink chains as a rule.  ``get`` and
-    ``[]`` apply the rule to chain states and read the core for every
-    other state.  Iteration, ``items()``, ``values()`` and ``len`` read
-    the full table, built once from the same rule."""
-
-    def __init__(self, core: dict, states: _ChainStates):
-        self._core = core
-        self._states = states
-        self._letter_of = {m: Letter.node_ref(m) for m in states.nodes}
-        self._table: dict | None = None
-
-    def _chain_targets(self, state: State, letter: Letter) -> dict[State, Ordinal]:
-        """From ``⊤l(m)`` a node letter other than ``m`` loops and ``m``
-        climbs to ``⊤(l+1)(m)`` while ``l < n``; nothing else moves."""
-        if state not in self._states or self._letter_of.get(letter.node) != letter:
-            return {}
-        if letter.node != state.node:
-            return {state: ZERO}
-        if state.level < self._states.n:
-            return {State.chain(state.node, state.level + 1): ZERO}
-        return {}
-
-    def _full(self) -> dict:
-        if self._table is None:
-            table = dict(self._core)
-            for state in self._states.chains():
-                for letter in self._letter_of.values():
-                    targets = self._chain_targets(state, letter)
-                    if targets:
-                        table[(state, letter)] = targets
-            self._table = table
-        return self._table
-
-    def get(self, key, default=None):
-        state, letter = key
-        if state.kind != CHAIN:
-            return self._core.get(key, default)
-        return self._chain_targets(state, letter) or default
-
-    def __getitem__(self, key):
-        targets = self.get(key)
-        if targets is None:
-            raise KeyError(key)
-        return targets
-
-    def __iter__(self):
-        return iter(self._full())
-
-    def __len__(self) -> int:
-        return len(self._full())
-
-    def items(self):
-        return self._full().items()
-
-    def values(self):
-        return self._full().values()
-
-
 def build_antecedent_approx(
     proof: Proof, query: TracePairQuery, n: int
 ) -> WeightedAutomaton:
@@ -423,20 +390,18 @@ def build_antecedent_approx(
     and admit at most ``n`` further occurrences of it (entry included).
 
     The chains, ``|nodes| · n`` states and about ``|nodes|² · n``
-    transitions, are a rule and not a table: membership in ``states`` and
-    ``finals`` and ``transitions.get`` work them out for the state asked
-    about, so the lag-set search reads only the few it takes.  Iterating
-    the states or the transitions (export, ambiguity, reachability) lists
-    them in full, from the same rule."""
+    transitions, are a rule and not a table: the automaton lists only its
+    explicit part and sets ``chains`` to ``n``, so ``targets`` and
+    ``is_final`` work a chain state out when a run reaches it and the
+    lag-set search reads only the few it takes.  ``table()`` writes them
+    out in full, from the same rule."""
     if n < 1:
         raise ValueError("approximation level must be at least 1")
     query.check(proof)
     ant_values = proof.all_values(LEFT)
     start, bot = State.start(), State.bot()
-    core = {State.node_value(nd, v) for nd in proof.nodes for v in ant_values}
-    core |= {start, bot}
-    nodes = tuple(proof.nodes)
-    states = _ChainStates(frozenset(core), nodes, n)
+    states = {State.node_value(nd, v) for nd in proof.nodes for v in ant_values}
+    states |= {start, bot}
 
     transitions = _antecedent_core(proof, query)
     for parent, child in proof.edges():
@@ -451,12 +416,13 @@ def build_antecedent_approx(
 
     return WeightedAutomaton(
         kind="antecedent_approx",
-        states=states,
+        states=frozenset(states),
         initial=start,
-        finals=_ChainStates(frozenset(core - {start}), nodes, n),
-        transitions=_SinkChains(transitions, states),
+        finals=frozenset(states - {start}),
+        transitions=transitions,
         alphabet=_letter_alphabet(proof),
         approx_level=n,
+        chains=n,
     )
 
 
@@ -471,14 +437,13 @@ def run_values(
     for letter in word:
         nxt = []
         for states, acc in runs:
-            targets = auto.transitions.get((states[-1], letter), {})
-            for target, weight in sorted(targets.items()):
+            for target, weight in sorted(auto.targets(states[-1], letter).items()):
                 nxt.append((states + (target,), ord_add(weight, acc)))
         runs = nxt
     return [
         (
             states,
-            TropicalWeight(acc) if states[-1] in auto.finals else BOT,
+            TropicalWeight(acc) if auto.is_final(states[-1]) else BOT,
         )
         for states, acc in runs
     ]
@@ -495,7 +460,7 @@ def language_value(auto: WeightedAutomaton, word) -> TropicalWeight:
     for letter in word:
         nxt: dict[State, Ordinal] = {}
         for state, acc in best.items():
-            for target, weight in auto.transitions.get((state, letter), {}).items():
+            for target, weight in auto.targets(state, letter).items():
                 candidate = ord_add(weight, acc)
                 old = nxt.get(target)
                 if old is None or old < candidate:
@@ -505,7 +470,7 @@ def language_value(auto: WeightedAutomaton, word) -> TropicalWeight:
             return BOT
     result = BOT
     for state, acc in best.items():
-        if state in auto.finals:
+        if auto.is_final(state):
             result = trop_oplus(result, TropicalWeight(acc))
     return result
 
@@ -516,7 +481,7 @@ def is_grounded(auto: WeightedAutomaton, proof: Proof) -> bool:
     if auto.kind != "consequent":
         raise ValueError("groundedness applies to consequent automata")
     for state in auto.reachable_states():
-        if state.kind != NODE_VALUE or state not in auto.finals:
+        if state.kind != NODE_VALUE or not auto.is_final(state):
             continue
         if state.value not in proof.node(state.node).ground:
             return False
@@ -539,6 +504,7 @@ def ambiguity(auto: WeightedAutomaton) -> str:
     some off-diagonal pair must be reachable from the doubled initial
     state and co-reachable from a pair of finals.
     """
+    auto = auto.table()
     useful = auto.reachable_states() & auto.co_reachable_states()
     if auto.initial not in useful:
         return "unambiguous"
@@ -604,6 +570,7 @@ def _dot_string(text) -> str:
 def export_dot(auto: WeightedAutomaton) -> str:
     """Deterministic DOT rendering: states labelled by their tags,
     transitions by letter and weight."""
+    auto = auto.table()
     lines = ["digraph {", "  rankdir=LR;"]
     ordered = sorted(auto.states)
     names = {state: f"q{i}" for i, state in enumerate(ordered)}
@@ -684,6 +651,7 @@ def _letter_from_json(raw, location: str) -> Letter:
 
 
 def automaton_to_json(auto: WeightedAutomaton) -> str:
+    auto = auto.table()
     ordered = sorted(auto.states)
     index = {state: i for i, state in enumerate(ordered)}
     doc = {

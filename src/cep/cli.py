@@ -27,7 +27,7 @@ from .automata import (
 )
 from .containment import decide_containment, oracle_compare
 from .decision import decide_order, definition_oracle
-from .proofgraph import ProofParseError, load_proof, validate
+from .proofgraph import ProofParseError, check_structure, load_proof, validate
 from .restrictions import check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
 from .traces import enumerate_right_maximal, simple_binary_cycles, simple_cycles
@@ -86,6 +86,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_soundness(args) -> tuple[int, dict, list[str]]:
     proof = load_proof(args.file)
+    check_structure(proof)
     report = check_global_soundness(proof)
     payload = {"verdict": report.verdict}
     human = [f"global soundness: {report.verdict}"]
@@ -145,6 +146,7 @@ def _cmd_automata(args) -> tuple[int, dict, list[str]]:
         auto = build_antecedent_approx(proof, query, args.approx)
     else:
         auto = build_antecedent_full(proof, query)
+    auto = auto.table()
     payload = {
         "kind": auto.kind,
         "approx_level": auto.approx_level,

@@ -10,9 +10,11 @@ language values; it can refute but never verify.
 
 ``decide_containment`` explores weight profiles: a configuration maps the
 live states of both automata to integer run weights relative to the
-maximum weight over the first automaton's entries.  It reads the
-automata as given and checks finiteness only on the transitions the
-search takes, since a transition never taken affects no configuration.
+maximum weight over the first automaton's entries.  It steps each
+automaton through ``targets`` and ``is_final``, so an approximate
+antecedent's sink chains are read only where a run reaches them, and it
+checks finiteness only on the transitions the search takes, since a
+transition never taken affects no configuration.
 Within a configuration only relative weights matter for the comparison,
 so the search space is finite once relative weights are confined to a
 window.  Out-of-window entries are adjusted in the direction that can
@@ -118,7 +120,7 @@ def oracle_compare(
     if found:
         return found
     letters_of: dict[State, list[Letter]] = {}
-    for (src, letter) in b.transitions:
+    for (src, letter) in b.table().transitions:
         letters_of.setdefault(src, []).append(letter)
     frontier = [((), {b.initial})]
     for _length in range(length_bound):
@@ -135,7 +137,7 @@ def oracle_compare(
                 nb = {
                     dst
                     for state in b_states
-                    for dst in b.transitions.get((state, letter), ())
+                    for dst in b.targets(state, letter)
                 }
                 if not nb:
                     continue
@@ -160,8 +162,9 @@ def _step(
     A weight becomes an integer when its transition is taken, so an
     infinite weight aborts the search only if some configuration uses it."""
     out: dict[State, int] = {}
+    targets = auto.targets
     for state, rel in weights.items():
-        for dst, weight in auto.transitions.get((state, letter), {}).items():
+        for dst, weight in targets(state, letter).items():
             try:
                 step = weight.to_int()
             except ValueError:
@@ -187,7 +190,7 @@ def decide_containment(
     cap, and the run at the ceiling stands as it is."""
     if lag_cap < 1:
         raise ValueError("lag cap must be positive")
-    letters = sorted({letter for _src, letter in b.transitions})
+    letters = sorted({letter for _src, letter in b.table().transitions})
     caps: list[int] = []
     cap = 1
     while True:
@@ -221,10 +224,10 @@ def _explore(
     whether any clamp happened before the outcome was reached."""
 
     def violates(bw, aw) -> bool:
-        vb = max((rel for state, rel in bw.items() if state in b.finals), default=None)
+        vb = max((rel for state, rel in bw.items() if b.is_final(state)), default=None)
         if vb is None:
             return False
-        va = max((rel for state, rel in aw.items() if state in a.finals), default=None)
+        va = max((rel for state, rel in aw.items() if a.is_final(state)), default=None)
         if va is None:
             return True
         return vb >= va if strict else vb > va

@@ -25,7 +25,7 @@ from .automata import (
     is_grounded,
 )
 from .containment import ContainmentVerdict, decide_containment, oracle_compare
-from .proofgraph import Proof, validate
+from .proofgraph import Proof, check_structure, validate
 from .restrictions import Thresholds, check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
 from .traces import (
@@ -227,12 +227,7 @@ def definition_oracle(
     Raises ``ValueError`` naming the first structural violation of the
     proof, as the trace search has no meaning on such a proof."""
     query.check(proof)
-    structural = validate(proof).structural
-    if structural:
-        first = structural[0]
-        raise ValueError(
-            f"invalid proof: {first.kind} at {first.location}: {first.detail}"
-        )
+    check_structure(proof)
     candidates = sorted(
         enumerate_right_maximal(proof, query.node, query.con_value, max_path_len),
         key=lambda pt: (len(pt[0]), pt[0].nodes, pt[1].values),

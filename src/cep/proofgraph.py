@@ -25,6 +25,7 @@ __all__ = [
     "load_proof",
     "serialize_proof",
     "validate",
+    "check_structure",
     "terminal_values",
 ]
 
@@ -455,6 +456,17 @@ def validate(proof: Proof) -> ValidationReport:
     return ValidationReport(
         violations=tuple(violations), trace_injective=injective
     )
+
+
+def check_structure(proof: Proof) -> None:
+    """Raise ``ValueError`` naming the first structural violation of
+    ``proof``, for the procedures that have no meaning on such a proof."""
+    structural = validate(proof).structural
+    if structural:
+        first = structural[0]
+        raise ValueError(
+            f"invalid proof: {first.kind} at {first.location}: {first.detail}"
+        )
 
 
 def terminal_values(proof: Proof, node_id: str, side: str) -> frozenset[str]:

@@ -175,59 +175,50 @@ class TestSinkChainRule:
     def test_full_table_matches_explicit_construction(self, instances, n):
         for proof, query in instances:
             auto = build_antecedent_approx(proof, query, n)
-            assert dict(auto.transitions.items()) == explicit_approx_transitions(
-                proof, query, n
-            )
-            assert len(auto.transitions) == len(dict(auto.transitions.items()))
+            table = auto.table()
+            assert table.transitions == explicit_approx_transitions(proof, query, n)
+            assert table.chains == 0 and table.approx_level == n
+            assert table.table() is table
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_get_matches_full_table(self, instances, n):
         for proof, query in instances:
             auto = build_antecedent_approx(proof, query, n)
+            written = auto.table()
             table = explicit_approx_transitions(proof, query, n)
-            for state in auto.states:
+            for state in written.states:
+                assert auto.is_final(state) == (state in written.finals)
                 for letter in auto.alphabet:
-                    key = (state, letter)
-                    if key in table:
-                        assert auto.transitions.get(key, {}) == table[key]
-                        assert auto.transitions[key] == table[key]
-                    else:
-                        assert auto.transitions.get(key) is None
-                        assert key not in auto.transitions
-                        with pytest.raises(KeyError):
-                            auto.transitions[key]
+                    assert auto.targets(state, letter) == table.get((state, letter), {})
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_states_listed_as_before(self, instances, n):
         for proof, query in instances:
-            auto = build_antecedent_approx(proof, query, n)
+            table = build_antecedent_approx(proof, query, n).table()
             full = build_antecedent_full(proof, query)
             chains = {
                 State.chain(m, level) for m in proof.nodes for level in range(1, n + 1)
             }
             expected = frozenset((full.states - {State.top()}) | chains)
-            for listed, want in (
-                (auto.states, expected),
-                (auto.finals, expected - {State.start()}),
-            ):
-                assert set(listed) == want and len(listed) == len(want)
-                assert listed == want and hash(listed) == hash(want)
+            assert table.states == expected
+            assert table.finals == expected - {State.start()}
 
     def test_foreign_chain_states_absent(self, loop2):
         auto = build_antecedent_approx(loop2, Q, 2)
+        table = auto.table()
         for state in (
             State.chain("n1", 0),
             State.chain("n1", 3),
             State.chain("n9", 1),
             State(State.chain("n1", 1).rank, "n1", "a", 1),
         ):
-            assert state not in auto.states and state not in auto.finals
+            assert state not in table.states and not auto.is_final(state)
             for letter in auto.alphabet:
-                assert auto.transitions.get((state, letter)) is None
+                assert auto.targets(state, letter) == {}
         chain = State.chain("n1", 1)
-        assert auto.transitions.get((chain, Letter.value_pair(["a"], "c"))) is None
-        assert auto.transitions.get((chain, Letter(False, "n0", ("a",)))) is None
-        assert auto.transitions[(chain, N("n0"))] == {chain: ZERO}
+        assert auto.targets(chain, Letter.value_pair(["a"], "c")) == {}
+        assert auto.targets(chain, Letter(False, "n0", ("a",))) == {}
+        assert auto.targets(chain, N("n0")) == {chain: ZERO}
 
 
 class TestRunSemantics:
@@ -427,7 +418,7 @@ class TestExportAndJson:
         ):
             auto = build(loop2, Q)
             again = automaton_from_json(automaton_to_json(auto))
-            assert again == auto
+            assert again == auto.table()
             assert automaton_to_json(again) == automaton_to_json(auto)
 
 

@@ -7,7 +7,8 @@ import jsonschema
 import pytest
 
 from cep.cli import run_cli
-from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, set_in
+from cep.soundness import check_global_soundness
+from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, proof_from_doc, set_in
 
 SCHEMA = json.loads(
     (FilePath(__file__).parent.parent / "src" / "cep" / "report_schema.json").read_text()
@@ -83,28 +84,23 @@ class TestExitCodes:
         assert code == 0
 
     def test_soundness_left_pair_names_consequent_value(self, capsys, tmp_path):
-        # The soundness command does not validate, so a left pair may name
-        # a consequent value; the closure still indexes it.
+        # A left pair naming a consequent value is a structural violation:
+        # the soundness command refuses the proof as the definition oracle
+        # does, instead of giving a verdict on it.  The closure itself still
+        # indexes the value.
         doc = fixture_doc("loop2")
         doc["delta"][0]["pairs"] = [["a", "c", "1"]]
+        report = check_global_soundness(proof_from_doc(doc))
+        assert report.witness.to_json() == {"prefix": ["n0"], "cycle": ["n0", "n1", "n0"]}
         path = tmp_path / "loop2.json"
         path.write_text(json.dumps(doc))
-        code, report = run_json(capsys, "soundness", str(path))
-        assert code == 3
-        assert report == {
-            "command": ["soundness", str(path), "--json"],
-            "input": [
-                {
-                    "path": str(path),
-                    "sha256": "01c234fe96fa32c47d342a62f81b58ea62356deb93cd28201a0f1df146d0d54f",
-                }
-            ],
-            "report": {
-                "verdict": "unsound",
-                "witness": {"prefix": ["n0"], "cycle": ["n0", "n1", "n0"]},
-            },
-            "exit_code": 3,
-        }
+        assert run_cli(["soundness", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid proof: delta_codomain at delta ('n0', child 0, left): "
+            "target 'c' is not a left value of 'n1'\n"
+        )
 
     def test_usage_error(self, capsys):
         assert run_cli(["order", LOOP2]) == 2
@@ -267,6 +263,20 @@ class TestAutomataAndContain:
             "reachable_states": 6,
             "finals": 5,
             "transitions": 11,
+        }
+
+    def test_automata_approx_counts_chains(self, capsys):
+        # The counts include the sink chains: 6 chain states beside the 5
+        # explicit ones, and 15 chain transitions beside the 8 explicit ones.
+        code, report = run_json(capsys, "automata", LOOP2, *ORDER_ARGS, "--approx", "2")
+        assert code == 0
+        assert report["report"] == {
+            "kind": "antecedent_approx",
+            "approx_level": 2,
+            "states": 11,
+            "reachable_states": 11,
+            "finals": 10,
+            "transitions": 23,
         }
 
     def test_contain_round_trip(self, capsys, tmp_path):

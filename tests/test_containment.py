@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -10,13 +11,22 @@ from cep.automata import (
     State,
     TracePairQuery,
     WeightedAutomaton,
+    automaton_from_json,
+    automaton_to_json,
     build_antecedent_approx,
     build_consequent,
     language_value,
 )
 from cep.containment import decide_containment, oracle_compare
 from cep.ordinal import OMEGA, ONE, ZERO
-from conftest import fixture_doc, gated_corpus, proof_from_doc, random_automaton_pair
+from cep.proofgraph import parse_proof
+from conftest import (
+    bench_inputs,
+    fixture_doc,
+    gated_corpus,
+    proof_from_doc,
+    random_automaton_pair,
+)
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -197,6 +207,7 @@ class TestInvariants:
         from cep.restrictions import compute_thresholds
 
         def shuffled(auto, rng):
+            auto = auto.table()
             items = list(auto.transitions.items())
             rng.shuffle(items)
             transitions = {}
@@ -216,6 +227,29 @@ class TestInvariants:
                 assert decide_containment(b, a, strict, lag_cap=64) == (
                     decide_containment(b2, a2, strict, lag_cap=64)
                 )
+
+    def test_chain_rule_decides_as_written_out_table(self, gated_instances):
+        # The approximate antecedent as built (chains as a rule), written
+        # out by table(), and read back from its JSON file decide alike.
+        from cep.restrictions import compute_thresholds
+
+        ring = parse_proof(json.dumps(bench_inputs().ring_doc(12, 2)))
+        ring_query = TracePairQuery("n0", "a0", "c0")
+        cases = [(ring, ring_query, 8)] + [
+            (proof, query, compute_thresholds(proof, query).n_bound)
+            for proof, query in gated_instances[:60]
+        ]
+        for proof, query, n in cases:
+            b = build_consequent(proof, query)
+            a = build_antecedent_approx(proof, query, n)
+            forms = (a, a.table(), automaton_from_json(automaton_to_json(a)))
+            for strict in (False, True):
+                for decide in (
+                    lambda x: decide_containment(b, x, strict),
+                    lambda x: oracle_compare(b, x, strict, length_bound=5),
+                ):
+                    first, *rest = (decide(x).to_json() for x in forms)
+                    assert all(other == first for other in rest)
 
     def test_witness_is_oracle_least_on_larger_proofs(self):
         # Up to 8 nodes: unlike the 4-node gated corpus, these instances
