@@ -8,24 +8,26 @@ Two engines are provided.
 up to a length bound in length-lexicographic order and compares exact
 language values; it can refute but never verify.
 
-``decide_containment`` explores weight profiles: a configuration maps the
-live states of both automata to integer run weights relative to the
-maximum weight over the first automaton's entries.  It steps each
-automaton through ``targets`` and ``is_final``, so an approximate
-antecedent's sink chains are read only where a run reaches them, and it
-checks finiteness only on the transitions the search takes, since a
-transition never taken affects no configuration.
-Within a configuration only relative weights matter for the comparison,
+``decide_containment`` explores weight profiles: a configuration holds
+the live states of both automata with their integer run weights relative
+to the maximum weight over the first automaton's entries, as one pair of
+frozensets of ``(state, weight)`` that is at once the search vertex, its
+key and the input of the next step.  It steps each automaton through
+``targets`` and ``is_final``, so an approximate antecedent's sink chains
+are read only where a run reaches them, and it checks finiteness only on
+the transitions the search takes, since a transition never taken affects
+no configuration.  Within a configuration only relative weights matter for the comparison,
 so the search space is finite once relative weights are confined to a
 window.  Out-of-window entries are adjusted in the direction that can
 only create spurious violations, never hide real ones: lagging entries
 of the first automaton are lifted to the window floor, leading entries
 of the second are capped, lagging ones dropped.  A closed exploration
-without violations is therefore a sound VERIFIED.  The exploration is
-breadth-first and reads letters in order, so configurations are reached
-in length-lex order of their words and each is reached first by its
-least word.  A violating configuration is revalidated against exact
-language values as soon as it is reached; a violation that fails
+without violations is therefore a sound VERIFIED.  The exploration walks
+:func:`cep.traces.bfs` and reads letters in order, so configurations are
+reached in length-lex order of their words and each is reached first by
+its least word.  A violating configuration is revalidated against exact
+language values as soon as it is reached, on its word read back off the
+search tree with :func:`cep.traces.tree_path`; a violation that fails
 revalidation makes the outcome UNKNOWN_SATURATED instead of a guess.
 
 The window cap is deepened: the exploration runs at caps 1, 2, 4, ...,
@@ -42,11 +44,11 @@ when its witness may not be the least."""
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import Letter, State, WeightedAutomaton, _letter_to_json, language_value
 from .ordinal import TropicalWeight
+from .traces import bfs, tree_path
 
 log = logging.getLogger("cep.containment")
 
@@ -100,6 +102,8 @@ def oracle_compare(
     """Bounded reference check: walk the domain of ``b`` word by word and
     compare exact language values.  Returns the length-lex least
     counterexample, or UNKNOWN_BOUND when none exists up to the bound."""
+    if length_bound < 0:
+        raise ValueError("length bound must be non-negative")
     params = {"length_bound": length_bound}
 
     def check(word):
@@ -156,18 +160,27 @@ def oracle_compare(
 
 
 def _step(
-    auto: WeightedAutomaton, side: str, weights: dict[State, int], letter: Letter
+    auto: WeightedAutomaton, side: str, weights, letter: Letter
 ) -> dict[State, int]:
-    """One letter step of one side: the maximum weight reaching each state.
-    A weight becomes an integer when its transition is taken, so an
-    infinite weight aborts the search only if some configuration uses it."""
+    """One letter step of one side from its ``(state, weight)`` pairs: the
+    maximum weight reaching each state.  A weight becomes an integer when
+    its transition is taken, so an infinite weight aborts the search only
+    if some configuration uses it."""
     out: dict[State, int] = {}
     targets = auto.targets
-    for state, rel in weights.items():
+    for state, rel in weights:
         for dst, weight in targets(state, letter).items():
             try:
                 step = weight.to_int()
             except ValueError:
+                # Name the first infinite weight in state order, not in
+                # the hash order of the configuration's set.
+                weight = next(
+                    w
+                    for s, _rel in sorted(weights)
+                    for w in targets(s, letter).values()
+                    if not w.is_finite()
+                )
                 raise ValueError(
                     f"containment engine requires finite weights; automaton "
                     f"{side!r} has weight {weight} on a transition"
@@ -219,106 +232,71 @@ def _explore(
     letters: list[Letter],
 ) -> tuple:
     """One breadth-first exploration of the joint weight configurations
-    at one window cap, in length-lexicographic order of their words.
-    Returns ``(status, word, lhs, rhs, clamped)``, where ``clamped`` says
-    whether any clamp happened before the outcome was reached."""
+    at one window cap, in length-lexicographic order of their words.  A
+    configuration is a pair of frozensets of ``(state, weight)``, one for
+    ``b`` and one for ``a``.  Returns ``(status, word, lhs, rhs,
+    clamped)``, where ``clamped`` says whether any clamp happened before
+    the outcome was reached."""
+    clamped = False
 
-    def violates(bw, aw) -> bool:
-        vb = max((rel for state, rel in bw.items() if b.is_final(state)), default=None)
+    def violates(config) -> bool:
+        bw, aw = config
+        vb = max((rel for state, rel in bw if b.is_final(state)), default=None)
         if vb is None:
             return False
-        va = max((rel for state, rel in aw.items() if a.is_final(state)), default=None)
+        va = max((rel for state, rel in aw if a.is_final(state)), default=None)
         if va is None:
             return True
         return vb >= va if strict else vb > va
 
-    def successor(bw, aw, letter):
-        """One letter step with renormalisation against the b-side maximum
-        and window clamping; returns (bw, aw, clamped?) or None when the
-        b side dies."""
-        nb = _step(b, "b", bw, letter)
-        if not nb:
-            return None
-        b_max = max(nb.values())
-        clamped = False
-        out_b: dict[State, int] = {}
-        for state, rel in nb.items():
-            rel -= b_max
-            if rel < -lag_cap:
-                rel = -lag_cap
-                clamped = True
-            out_b[state] = rel
-        out_a: dict[State, int] = {}
-        for state, rel in _step(a, "a", aw, letter).items():
-            rel -= b_max
-            if rel > lag_cap:
-                rel = lag_cap
-                clamped = True
-            elif rel < -lag_cap:
-                clamped = True
+    def successors(config):
+        """Each letter's step with renormalisation against the b-side
+        maximum and window clamping, skipping letters on which the b side
+        dies.  ``clamped`` is set before the step is yielded, so it covers
+        every step taken, also one reaching a known configuration."""
+        nonlocal clamped
+        bw, aw = config
+        for letter in letters:
+            nb = _step(b, "b", bw, letter)
+            if not nb:
                 continue
-            out_a[state] = rel
-        return out_b, out_a, clamped
+            b_max = max(nb.values())
+            out_b = []
+            for state, rel in nb.items():
+                rel -= b_max
+                if rel < -lag_cap:
+                    rel = -lag_cap
+                    clamped = True
+                out_b.append((state, rel))
+            out_a = []
+            for state, rel in _step(a, "a", aw, letter).items():
+                rel -= b_max
+                if rel > lag_cap:
+                    rel = lag_cap
+                    clamped = True
+                elif rel < -lag_cap:
+                    clamped = True
+                    continue
+                out_a.append((state, rel))
+            yield (frozenset(out_b), frozenset(out_a)), letter
 
-    def key_of(bw, aw):
-        return frozenset(bw.items()), frozenset(aw.items())
-
-    # parents: config key -> (parent key | None, letter | None)
-    parents: dict[tuple, tuple] = {}
-    queue: deque = deque()
-
-    def word_of(key) -> tuple[Letter, ...]:
-        letters = []
-        while True:
-            parent, letter = parents[key]
-            if parent is None:
-                break
-            letters.append(letter)
-            key = parent
-        return tuple(reversed(letters))
-
-    any_clamp = False
+    tree: dict = {}
     unverified_violation = False
-
-    def discover(key, parent, letter, bw, aw):
-        """Record a new configuration; revalidate it at once if it
-        violates.  Returns the refutation or None."""
-        nonlocal unverified_violation
-        parents[key] = (parent, letter)
-        queue.append((key, bw, aw))
-        if not violates(bw, aw):
-            return None
-        word = word_of(key)
+    initial = (frozenset([(b.initial, 0)]), frozenset([(a.initial, 0)]))
+    for config in bfs([initial], successors, tree):
+        if not violates(config):
+            continue
+        word = tuple(letter for _config, letter in tree_path(tree, config)[1:])
         bad, lhs, rhs = _true_violation(b, a, word, strict)
         if bad:
-            return "REFUTED", word, lhs, rhs
+            return "REFUTED", word, lhs, rhs, clamped
         unverified_violation = True
-        return None
-
-    initial = ({b.initial: 0}, {a.initial: 0})
-    found = discover(key_of(*initial), None, None, *initial)
-    if found:
-        return (*found, any_clamp)
-    while queue:
-        key, bw, aw = queue.popleft()
-        for letter in letters:
-            stepped = successor(bw, aw, letter)
-            if stepped is None:
-                continue
-            nb, na, clamped = stepped
-            any_clamp = any_clamp or clamped
-            nxt_key = key_of(nb, na)
-            if nxt_key in parents:
-                continue
-            found = discover(nxt_key, key, letter, nb, na)
-            if found:
-                return (*found, any_clamp)
 
     log.debug(
         "lagset closure: %d configurations, clamped=%s, unverified=%s",
-        len(parents),
-        any_clamp,
+        len(tree),
+        clamped,
         unverified_violation,
     )
     status = "UNKNOWN_SATURATED" if unverified_violation else "VERIFIED"
-    return status, None, None, None, any_clamp
+    return status, None, None, None, clamped

@@ -141,6 +141,8 @@ def decide_order(
 ) -> OrderVerdict:
     if lag_cap < 1:
         raise ValueError("lag cap must be positive")
+    if oracle_len < 0:
+        raise ValueError("length bound must be non-negative")
     relation = "lt" if strict else "leq"
     gates = applicability_gates(proof, query)
     if gates is not None:
@@ -225,7 +227,8 @@ def definition_oracle(
     axiomatic endpoint of matching length.
 
     Raises ``ValueError`` naming the first structural violation of the
-    proof, as the trace search has no meaning on such a proof."""
+    proof, as the trace search has no meaning on such a proof, and when
+    ``max_path_len`` is below 1."""
     query.check(proof)
     check_structure(proof)
     candidates = sorted(
@@ -239,9 +242,7 @@ def definition_oracle(
         final_value = rtrace.values[-1]
         n = len(rtrace)
         matched = False
-        for values in traces_on_path(
-            proof, path.nodes, "left", first_value=query.ant_value
-        ):
+        for values in traces_on_path(proof, path.nodes, "left", query.ant_value):
             k = len(values)
             ltrace = Trace(side="left", values=values)
             l_size = prog_points(proof, Path(path.nodes[:k]), ltrace)

@@ -148,42 +148,29 @@ def _zero_subgraph_cycle(proof: Proof, side: str, restrict) -> list | None:
         targets = [b for b, (weight,) in steps(proof, side, a) if weight.is_zero()]
         if targets:
             succ[a] = targets
-    color: dict[tuple[str, str], int] = {}
-    parent_of: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def dfs(start):
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = 1
+    # A depth-first search whose stack is the current path: an edge back
+    # onto the path closes a cycle, the stack slice from its target.
+    on_path: set[tuple[str, str]] = set()
+    done: set[tuple[str, str]] = set()
+    for start in sorted(succ):
+        if start in done:
+            continue
+        stack = [(start, iter(succ[start]))]
+        on_path.add(start)
         while stack:
             state, it = stack[-1]
-            advanced = False
             for nxt in it:
-                if color.get(nxt, 0) == 1:
-                    # Cycle found: unwind from state back to nxt.
-                    chain = [state]
-                    cursor = state
-                    while cursor != nxt:
-                        cursor = parent_of[cursor]
-                        chain.append(cursor)
-                    chain.reverse()
-                    chain.append(nxt)
-                    return chain
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    parent_of[nxt] = state
+                if nxt in on_path:
+                    path = [vertex for vertex, _it in stack]
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in done:
+                    on_path.add(nxt)
                     stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
                     break
-            if not advanced:
-                color[state] = 2
+            else:
+                on_path.remove(state)
+                done.add(state)
                 stack.pop()
-        return None
-
-    for start in sorted(succ):
-        if color.get(start, 0) == 0:
-            found = dfs(start)
-            if found:
-                return found
     return None
 
 

@@ -4,8 +4,10 @@ maximal-trace classification; cycle and reachability analysis over
 :func:`steps`, the step relation of a node and a tuple of trace values.
 The graph primitives shared with the automata, the restriction checks and
 soundness live here too: :func:`closure` (every vertex reachable from a
-set of starts), :func:`bfs_tree` and :func:`tree_path` (breadth-first
-witness paths) and :func:`sccs` (iterative Tarjan).
+set of starts), :func:`bfs` (the one parent-pointer breadth-first
+search, streamed), :func:`bfs_tree` (its whole tree), :func:`tree_path`
+(the witness path to a vertex of the tree) and :func:`sccs` (iterative
+Tarjan).
 
 A trace may be shorter than the path it follows: it is always aligned to
 the path's first ``len(trace)`` nodes.
@@ -35,6 +37,7 @@ __all__ = [
     "reachable_pairs",
     "steps",
     "closure",
+    "bfs",
     "bfs_tree",
     "tree_path",
     "sccs",
@@ -176,6 +179,8 @@ def enumerate_right_maximal(
     """All positive maximal right-hand traces with the given first value,
     following paths rooted at the node of length at most ``max_path_len``,
     in lexicographic (path, trace) order."""
+    if max_path_len < 1:
+        raise ValueError("path length bound must be positive")
     node = proof.node(node_id)
     if value not in node.con_values:
         raise ValueError(
@@ -242,32 +247,24 @@ def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
 
 
 def traces_on_path(
-    proof: Proof,
-    path_nodes: tuple[str, ...],
-    side: str,
-    first_value: str | None = None,
+    proof: Proof, path_nodes: tuple[str, ...], side: str, first_value: str
 ) -> list[tuple[str, ...]]:
-    """Every trace of every length 1..len(path) following the path,
-    optionally with a fixed first value, in lexicographic order."""
-    node0 = proof.node(path_nodes[0])
-    if first_value is None:
-        firsts = sorted(node0.values(side))
-    elif first_value in node0.values(side):
-        firsts = [first_value]
-    else:
-        firsts = []
+    """Every trace of every length 1..len(path) following the path from
+    ``first_value``, in lexicographic order; none when the first node
+    does not carry that value."""
+    if first_value not in proof.node(path_nodes[0]).values(side):
+        return []
     out: list[tuple[str, ...]] = []
-    for first in firsts:
-        stack = [(first,)]
-        while stack:
-            values = stack.pop()
-            out.append(values)
-            i = len(values)
-            if i < len(path_nodes):
-                pairs = proof.pairs(path_nodes[i - 1], path_nodes[i], side)
-                for src, dst in pairs:
-                    if src == values[-1]:
-                        stack.append(values + (dst,))
+    stack = [(first_value,)]
+    while stack:
+        values = stack.pop()
+        out.append(values)
+        i = len(values)
+        if i < len(path_nodes):
+            pairs = proof.pairs(path_nodes[i - 1], path_nodes[i], side)
+            for src, dst in pairs:
+                if src == values[-1]:
+                    stack.append(values + (dst,))
     out.sort()
     return out
 
@@ -299,19 +296,35 @@ def closure(starts, successors) -> set:
     return seen
 
 
-def bfs_tree(start, successors) -> dict:
-    """The breadth-first search tree from ``start``: each reached vertex
-    maps to ``(parent, label)`` of the edge that first reached it, in FIFO
-    discovery order; the start maps to ``(None, None)``.  ``successors``
-    maps a vertex to its ``(vertex, label)`` out-edges."""
-    tree = {start: (None, None)}
-    queue = deque([start])
+def bfs(starts, successors, tree: dict):
+    """Breadth-first search from ``starts``, streamed: yields each vertex
+    when it is first reached, in FIFO discovery order, right after
+    recording ``(parent, label)`` of the edge that reached it in ``tree``
+    (a start gets ``(None, None)``).  ``successors`` maps a vertex to its
+    ``(vertex, label)`` out-edges and is read one edge at a time, so a
+    consumer that stops early leaves the remaining edges uncomputed."""
+    queue = deque()
+    for start in starts:
+        if start not in tree:
+            tree[start] = (None, None)
+            queue.append(start)
+            yield start
     while queue:
         v = queue.popleft()
         for w, label in successors(v):
             if w not in tree:
                 tree[w] = (v, label)
                 queue.append(w)
+                yield w
+
+
+def bfs_tree(start, successors) -> dict:
+    """The breadth-first search tree from ``start``: each reached vertex
+    maps to ``(parent, label)`` of the edge that first reached it, in FIFO
+    discovery order; the start maps to ``(None, None)``."""
+    tree: dict = {}
+    for _vertex in bfs([start], successors, tree):
+        pass
     return tree
 
 

@@ -66,6 +66,46 @@ class TestExitCodes:
         assert run_cli(["order", str(path), *ORDER_ARGS, *extra]) == 2
         assert "lag cap must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", LOOP2, *ORDER_ARGS, "--strict", "--max-len", "0"],
+             "path length bound must be positive"),
+            (["oracle", LOOP2, *ORDER_ARGS, "--strict", "--max-len", "-1"],
+             "path length bound must be positive"),
+            (["traces", LOOP2, "--node", "n0", "--value", "c", "--max-len", "-3"],
+             "path length bound must be positive"),
+            (["order", LOOP2, *ORDER_ARGS, "--engine", "oracle", "--oracle-len", "-2"],
+             "length bound must be non-negative"),
+            (["order", LOOP2, *ORDER_ARGS, "--oracle-len", "-2"],
+             "length bound must be non-negative"),
+            (["order", "FLAT", *ORDER_ARGS, "--oracle-len", "-2"],
+             "length bound must be non-negative"),
+            (["contain", "B", "A", "--engine", "oracle", "--oracle-len", "-2"],
+             "length bound must be non-negative"),
+        ],
+        ids=[
+            "oracle_zero", "oracle_negative", "traces_negative", "order_oracle_engine",
+            "order_lagset_engine", "order_gated_out", "contain_oracle_engine",
+        ],
+    )
+    def test_length_bounds_must_make_sense(self, capsys, tmp_path, argv, message):
+        doc = fixture_doc("loop2")
+        # A flat left cycle: the dynamic gate rejects the query.
+        for entry in doc["delta"]:
+            if entry["from"] == "n0" and entry["side"] == "left":
+                entry["pairs"] = [["a", "a", "0"]]
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(doc))
+        b_path = tmp_path / "b.json"
+        a_path = tmp_path / "a.json"
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--consequent", "--save", str(b_path)])
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--approx", "6", "--save", str(a_path)])
+        capsys.readouterr()
+        files = {"FLAT": str(flat), "B": str(b_path), "A": str(a_path)}
+        assert run_cli([files.get(arg, arg) for arg in argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_order_strict_fails(self, capsys):
         code, _ = run(capsys, "order", LOOP2, *ORDER_ARGS, "--strict")
         assert code == 3

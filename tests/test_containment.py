@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import random
 
 import pytest
@@ -18,7 +19,8 @@ from cep.automata import (
     language_value,
 )
 from cep.containment import decide_containment, oracle_compare
-from cep.ordinal import OMEGA, ONE, ZERO
+from cep.decision import decide_order
+from cep.ordinal import OMEGA, ONE, ZERO, Ordinal
 from cep.proofgraph import parse_proof
 from conftest import (
     bench_inputs,
@@ -130,6 +132,32 @@ class TestLagsetFixtures:
         b, a = automata_for(proof)
         with pytest.raises(ValueError, match="finite weights"):
             decide_containment(b, a, strict=False, lag_cap=64)
+
+    def test_infinite_weight_named_in_state_order(self):
+        # After one p the configuration holds six states, each with a
+        # different omega weight on p; the error names the least state's.
+        states = [State.node_value("n", v) for v in "ixyzuvw"]
+        p = Letter.node_ref("p")
+        transitions = {(states[0], p): {s: ONE for s in states[1:]}}
+        for k, s in enumerate(states[1:], start=1):
+            transitions[(s, p)] = {states[0]: Ordinal.parse(f"w*{k}")}
+        b = WeightedAutomaton(
+            kind="consequent",
+            states=frozenset(states),
+            initial=states[0],
+            finals=frozenset(states[:1]),
+            transitions=transitions,
+        )
+        a = WeightedAutomaton(
+            kind="antecedent_approx",
+            states=frozenset(states[:1]),
+            initial=states[0],
+            finals=frozenset(states[:1]),
+            transitions={},
+        )
+        # (n, u) is the least of the six and has weight w*4.
+        with pytest.raises(ValueError, match=r"'b' has weight w\*4 on"):
+            decide_containment(b, a, strict=False, lag_cap=4)
 
     def test_untaken_infinite_weight_ignored(self):
         # a has an omega transition out of its initial state on a letter
@@ -337,3 +365,58 @@ class TestCapDeepening:
         assert verdict.parameters == {
             "lag_cap": ceiling, "caps": caps, "clamped": True
         }
+
+
+def closure_records(caplog) -> list[tuple]:
+    """``(configurations, clamped, unverified)`` of every closed lag-set
+    exploration logged so far."""
+    return [r.args for r in caplog.records if r.msg.startswith("lagset closure")]
+
+
+RING_QUERY = TracePairQuery(node="n0", ant_value="a0", con_value="c0")
+
+
+class TestClosureRecord:
+    """The DEBUG record that closes an exploration is the benchmark's
+    ``containment.configurations`` counter; its values are pinned here."""
+
+    @pytest.mark.parametrize(
+        "doc, query, lag_cap, stricts, record",
+        [
+            (lambda: fixture_doc("loop2"), Q, 64, (False,), (8, True, False)),
+            (lambda: fixture_doc("strict2"), Q, 64, (False, True), (11, True, False)),
+            (lambda: bench_inputs().ring_doc(3, 1), RING_QUERY, 64, (False, True),
+             (14, True, False)),
+            (lambda: bench_inputs().ring_doc(12, 2), RING_QUERY, 8, (False, True),
+             (41, True, False)),
+        ],
+        ids=["loop2", "strict2", "ring3_1", "ring12_2"],
+    )
+    def test_order_logs_one_closure(self, caplog, doc, query, lag_cap, stricts, record):
+        caplog.set_level(logging.DEBUG, logger="cep.containment")
+        proof = proof_from_doc(doc())
+        for strict in stricts:
+            caplog.clear()
+            verdict = decide_order(proof, query, strict=strict, lag_cap=lag_cap)
+            assert verdict.status == "HOLDS"
+            assert closure_records(caplog) == [record]
+
+    def test_each_deepened_cap_logs_its_closure(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="cep.containment")
+        b, a = random_automaton_pair(845)
+        verdict = decide_containment(b, a, strict=False, lag_cap=8)
+        assert verdict.status == "UNKNOWN_SATURATED"
+        assert closure_records(caplog) == [
+            (10, True, True), (32, True, True), (354, True, True), (3287, True, True)
+        ]
+
+    def test_refutation_logs_no_closure(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="cep.containment")
+        b, a = random_automaton_pair(2051)
+        verdict = decide_containment(b, a, strict=False, lag_cap=8)
+        # Cap 1 closes; caps 2 and 4 end in clamped refutations, cap 8 in
+        # an unclamped one, and none of those logs a closure.
+        assert closure_records(caplog) == [(10, True, True)]
+        assert verdict.status == "REFUTED"
+        assert verdict.parameters == {"lag_cap": 8, "caps": [1, 2, 4, 8], "clamped": False}
+        assert [l.node for l in verdict.counterexample] == list("pppp")

@@ -174,6 +174,28 @@ class TestDynamic:
                 e["child_index"] = 0
         assert check_dynamic(proof_from_doc(doc), Q).passed
 
+    @pytest.mark.parametrize(
+        "seed, witness",
+        [
+            # The search passes a finished pair before it closes the cycle.
+            (367, {"side": "left", "path": ["n0", "n0"], "trace": ["a1", "a1"]}),
+            # The cycle starts below the root of the search that finds it.
+            (1002, {"side": "left", "path": ["n1", "n2", "n1", "n2", "n1"],
+                    "trace": ["a0", "a0", "a1", "a1", "a0"]}),
+            # Both: below the search root, after a finished pair.
+            (1223, {"side": "right", "path": ["n2", "n1", "n2"],
+                    "trace": ["c1", "c0", "c1"]}),
+            # The cycle runs through the search root.
+            (2594, {"side": "right", "path": ["n0", "n2", "n1", "n1", "n0"],
+                    "trace": ["c0", "c1", "c1", "c0", "c0"]}),
+        ],
+        ids=["past_finished", "below_root", "below_root_past_finished", "through_root"],
+    )
+    def test_pinned_witnesses(self, seed, witness):
+        proof = random_proof(seed)
+        report = check_dynamic(proof, TracePairQuery(proof.root, "a0", "c0"))
+        assert report.witnesses == (witness,)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_cycle_enumeration(self, seed):
         proof = random_proof(14_000 + seed)
