@@ -9,6 +9,7 @@ request (``--timing``) to keep the default output reproducible."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -26,7 +27,7 @@ from .automata import (
     export_dot,
 )
 from .containment import decide_containment, oracle_compare
-from .decision import decide_order, definition_oracle
+from .decision import ORDER_STATUS, check_bounds, decide_order, definition_oracle
 from .proofgraph import ProofParseError, check_structure, load_proof, validate
 from .restrictions import check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
@@ -39,6 +40,12 @@ EXIT_USAGE = 2
 EXIT_FAIL = 3
 EXIT_NOT_APPLICABLE = 4
 EXIT_UNKNOWN = 5
+EXIT_OF = {
+    "HOLDS": EXIT_OK,
+    "FAILS": EXIT_FAIL,
+    "NOT_APPLICABLE": EXIT_NOT_APPLICABLE,
+    "UNKNOWN": EXIT_UNKNOWN,
+}
 
 log = logging.getLogger("cep")
 
@@ -190,6 +197,7 @@ def _cmd_contain(args) -> tuple[int, dict, list[str]]:
         b = automaton_from_json(fh.read())
     with open(args.a, "rb") as fh:
         a = automaton_from_json(fh.read())
+    check_bounds(args.lag_cap, args.oracle_len)
     if args.engine == "oracle":
         verdict = oracle_compare(b, a, args.strict, args.oracle_len)
     else:
@@ -201,13 +209,7 @@ def _cmd_contain(args) -> tuple[int, dict, list[str]]:
             "  counterexample: " + " ".join(str(l) for l in verdict.counterexample)
         )
         human.append(f"  values: {verdict.lhs_value} vs {verdict.rhs_value}")
-    code = {
-        "VERIFIED": EXIT_OK,
-        "REFUTED": EXIT_FAIL,
-        "UNKNOWN_SATURATED": EXIT_UNKNOWN,
-        "UNKNOWN_BOUND": EXIT_UNKNOWN,
-    }[verdict.status]
-    return code, payload, human
+    return EXIT_OF[ORDER_STATUS[verdict.status]], payload, human
 
 
 def _cmd_order(args) -> tuple[int, dict, list[str]]:
@@ -229,13 +231,7 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
     for reason in verdict.reasons:
         if not reason.get("ok", True):
             human.append(f"  {reason['stage']}: failed")
-    code = {
-        "HOLDS": EXIT_OK,
-        "FAILS": EXIT_FAIL,
-        "NOT_APPLICABLE": EXIT_NOT_APPLICABLE,
-        "UNKNOWN": EXIT_UNKNOWN,
-    }[verdict.status]
-    return code, payload, human
+    return EXIT_OF[verdict.status], payload, human
 
 
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
@@ -261,30 +257,35 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     return EXIT_FAIL, payload, human
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "soundness": _cmd_soundness,
-    "traces": _cmd_traces,
-    "automata": _cmd_automata,
-    "restrictions": _cmd_restrictions,
-    "contain": _cmd_contain,
-    "order": _cmd_order,
-    "oracle": _cmd_oracle,
-}
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``cep`` parser, built on first use and shared by every later
+    call in the process; each subcommand's ``run`` default is its handler."""
     parser = argparse.ArgumentParser(
         prog="cep",
         description="analyses of cyclic entailment proofs: soundness, "
         "trace automata, and trace value orderings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    lag_cap_help = (
-        "ceiling of the lag-set window cap: the search runs at caps 1, 2, "
-        "4, ... and doubles only while a clamp could change the verdict "
-        "(default 64)"
-    )
+
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def engine_options(p):
+        p.add_argument("--strict", action="store_true")
+        p.add_argument("--engine", choices=["lagset", "oracle"], default="lagset")
+        p.add_argument(
+            "--lag-cap",
+            type=int,
+            default=64,
+            dest="lag_cap",
+            help="ceiling of the lag-set window cap: the search runs at caps 1, "
+            "2, 4, ... and doubles only while a clamp could change the verdict "
+            "(default 64)",
+        )
+        p.add_argument("--oracle-len", type=int, default=12, dest="oracle_len")
 
     def common(p, with_query=False):
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -296,15 +297,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ant", required=True, help="antecedent trace value")
             p.add_argument("--con", required=True, help="consequent trace value")
 
-    p = sub.add_parser("validate", help="structural validation report")
+    p = command("validate", _cmd_validate, "structural validation report")
     p.add_argument("file")
     common(p)
 
-    p = sub.add_parser("soundness", help="global soundness verdict")
+    p = command("soundness", _cmd_soundness, "global soundness verdict")
     p.add_argument("file")
     common(p)
 
-    p = sub.add_parser("traces", help="enumerate maximal traces or cycles")
+    p = command("traces", _cmd_traces, "enumerate maximal traces or cycles")
     p.add_argument("file")
     p.add_argument("--node", help="root node for trace enumeration")
     p.add_argument("--value", help="first consequent trace value")
@@ -314,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
 
-    p = sub.add_parser("automata", help="build and export trace automata")
+    p = command("automata", _cmd_automata, "build and export trace automata")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--consequent", action="store_true")
@@ -324,34 +325,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", help="write automaton JSON to this path")
     common(p, with_query=True)
 
-    p = sub.add_parser("restrictions", help="structural restriction checks")
+    p = command("restrictions", _cmd_restrictions, "structural restriction checks")
     p.add_argument("file")
     common(p, with_query=True)
 
-    p = sub.add_parser("contain", help="containment between automaton files")
+    p = command("contain", _cmd_contain, "containment between automaton files")
     p.add_argument("b", help="left automaton (JSON, as written by --save)")
     p.add_argument("a", help="right automaton (JSON)")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--engine", choices=["lagset", "oracle"], default="lagset")
-    p.add_argument(
-        "--lag-cap", type=int, default=64, dest="lag_cap", help=lag_cap_help
-    )
-    p.add_argument("--oracle-len", type=int, default=12, dest="oracle_len")
+    engine_options(p)
     common(p)
 
-    p = sub.add_parser("order", help="decide the trace value ordering")
+    p = command("order", _cmd_order, "decide the trace value ordering")
     p.add_argument("file")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--engine", choices=["lagset", "oracle"], default="lagset")
-    p.add_argument(
-        "--lag-cap", type=int, default=64, dest="lag_cap", help=lag_cap_help
-    )
-    p.add_argument("--oracle-len", type=int, default=12, dest="oracle_len")
+    engine_options(p)
     common(p, with_query=True)
 
-    p = sub.add_parser(
-        "oracle", help="bounded definition-level check of the ordering"
-    )
+    p = command("oracle", _cmd_oracle, "bounded definition-level check of the ordering")
     p.add_argument("file")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--max-len", type=int, default=10, dest="max_len")
@@ -362,14 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CEP_LOG", "WARNING").upper())
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
-        code, payload, human = _COMMANDS[args.command](args)
+        code, payload, human = args.run(args)
     except (ProofParseError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,9 +38,11 @@ from .traces import (
 )
 
 __all__ = [
+    "ORDER_STATUS",
     "OrderVerdict",
     "OracleOutcome",
     "applicability_gates",
+    "check_bounds",
     "decide_order",
     "definition_oracle",
 ]
@@ -49,6 +51,13 @@ HOLDS = "HOLDS"
 FAILS = "FAILS"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 UNKNOWN = "UNKNOWN"
+
+ORDER_STATUS = {
+    "VERIFIED": HOLDS,
+    "REFUTED": FAILS,
+    "UNKNOWN_SATURATED": UNKNOWN,
+    "UNKNOWN_BOUND": UNKNOWN,
+}
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,15 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
     return reasons or None
 
 
+def check_bounds(lag_cap: int, oracle_len: int) -> None:
+    """Raise ``ValueError`` unless the lag-set ceiling is positive and the
+    word oracle's length bound is non-negative, whichever engine runs."""
+    if lag_cap < 1:
+        raise ValueError("lag cap must be positive")
+    if oracle_len < 0:
+        raise ValueError("length bound must be non-negative")
+
+
 def decide_order(
     proof: Proof,
     query: TracePairQuery,
@@ -139,10 +157,7 @@ def decide_order(
     lag_cap: int = 64,
     oracle_len: int = 12,
 ) -> OrderVerdict:
-    if lag_cap < 1:
-        raise ValueError("lag cap must be positive")
-    if oracle_len < 0:
-        raise ValueError("length bound must be non-negative")
+    check_bounds(lag_cap, oracle_len)
     relation = "lt" if strict else "leq"
     gates = applicability_gates(proof, query)
     if gates is not None:
@@ -194,12 +209,7 @@ def decide_order(
         verdict = oracle_compare(consequent, antecedent, strict, oracle_len)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    status = {
-        "VERIFIED": HOLDS,
-        "REFUTED": FAILS,
-        "UNKNOWN_SATURATED": UNKNOWN,
-        "UNKNOWN_BOUND": UNKNOWN,
-    }[verdict.status]
+    status = ORDER_STATUS[verdict.status]
     reasons.append(
         {"stage": "containment", "ok": verdict.status == "VERIFIED", **verdict.to_json()}
     )

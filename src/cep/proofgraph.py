@@ -231,8 +231,8 @@ def parse_proof(source: bytes | str) -> Proof:
         _expect(isinstance(raw, dict), "node must be an object", loc)
         unknown = set(raw) - _NODE_KEYS
         _expect(not unknown, f"unknown keys {sorted(unknown)}", loc)
-        for key in _NODE_KEYS:
-            _expect(key in raw, f"missing key {key!r}", loc)
+        if missing := _NODE_KEYS - raw.keys():
+            raise ProofParseError(f"missing key {min(missing)!r}", loc)
         node_id = raw["id"]
         _expect(isinstance(node_id, str) and node_id, "bad node id", f"{loc}.id")
         _expect(
@@ -308,8 +308,8 @@ def parse_proof(source: bytes | str) -> Proof:
         _expect(isinstance(raw, dict), "delta entry must be an object", loc)
         unknown = set(raw) - _DELTA_KEYS
         _expect(not unknown, f"unknown keys {sorted(unknown)}", loc)
-        for key in _DELTA_KEYS:
-            _expect(key in raw, f"missing key {key!r}", loc)
+        if missing := _DELTA_KEYS - raw.keys():
+            raise ProofParseError(f"missing key {min(missing)!r}", loc)
         parent = raw["from"]
         _expect(isinstance(parent, str), "'from' must be a node id", f"{loc}.from")
         _expect(parent in nodes, f"dangling node reference {parent!r}", f"{loc}.from")

@@ -224,8 +224,9 @@ def simple_binary_cycles(proof: Proof) -> list[tuple[Path, Trace, Trace]]:
 def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
     """Every simple cycle of ``(node, v1, ..., vk)`` vertices, rooted at
     each vertex it visits, as ``(Path, Trace, ..., Trace)`` sorted by the
-    path and then the traces in turn."""
-    roots = sorted(
+    path and then the traces in turn.  Each cycle is searched once, from
+    its least vertex, and rotated to every other root."""
+    roots = (
         (node_id, *values)
         for node_id, node in proof.nodes.items()
         for values in product(node.values(side), repeat=k)
@@ -237,8 +238,8 @@ def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
             walk, on_walk = stack.pop()
             for vertex, _w in steps(proof, side, walk[-1]):
                 if vertex == root:
-                    walks.append(walk + (vertex,))
-                elif vertex not in on_walk:
+                    walks += (walk[i:] + walk[: i + 1] for i in range(len(walk)))
+                elif vertex > root and vertex not in on_walk:
                     stack.append((walk + (vertex,), on_walk | {vertex}))
     return [
         (Path(nodes), *(Trace(side=side, values=values) for values in traces))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import random
@@ -38,6 +39,20 @@ def bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def knots() -> tuple:
+    """The seven (planted soundness, proof) knots of the benchmark's
+    ``knot`` workload, before its renaming."""
+    inputs = bench_inputs()
+    pool = random.Random(1)
+    out = []
+    for i in range(7):
+        sound = i % 2 == 0
+        doc = inputs.knot_doc(pool, 14 + (i // 2) % 3, 5, sound)
+        out.append((sound, parse_proof(json.dumps(doc))))
+    return tuple(out)
 
 
 def set_in(doc, path: tuple, value) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path as FilePath
 import jsonschema
 import pytest
 
-from cep.cli import run_cli
+from cep.cli import _build_parser, run_cli
 from cep.soundness import check_global_soundness
 from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, proof_from_doc, set_in
 
@@ -83,10 +83,15 @@ class TestExitCodes:
              "length bound must be non-negative"),
             (["contain", "B", "A", "--engine", "oracle", "--oracle-len", "-2"],
              "length bound must be non-negative"),
+            (["contain", "B", "A", "--oracle-len", "-2"],
+             "length bound must be non-negative"),
+            (["contain", "B", "A", "--engine", "oracle", "--lag-cap", "0"],
+             "lag cap must be positive"),
         ],
         ids=[
             "oracle_zero", "oracle_negative", "traces_negative", "order_oracle_engine",
             "order_lagset_engine", "order_gated_out", "contain_oracle_engine",
+            "contain_lagset_engine", "contain_oracle_engine_lag_cap",
         ],
     )
     def test_length_bounds_must_make_sense(self, capsys, tmp_path, argv, message):
@@ -411,6 +416,25 @@ class TestDeterminism:
         run_cli(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_parser_reuse_leaks_no_state(self, capsys):
+        # The parser is built once per process; options of one call must
+        # not carry over into the next.
+        _build_parser.cache_clear()
+        plain = ["order", LOOP2, *ORDER_ARGS, "--json"]
+        run_cli(plain)
+        fresh = capsys.readouterr().out
+        assert run_cli(["order", LOOP2]) == 2
+        strict = ["--strict", "--engine", "oracle", "--oracle-len", "3", "--lag-cap", "2"]
+        run_cli(["order", LOOP2, *ORDER_ARGS, *strict, "--json"])
+        capsys.readouterr()
+        run_cli(plain)
+        assert capsys.readouterr().out == fresh
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--consequent"])
+        capsys.readouterr()
+        code, report = run_json(capsys, "automata", LOOP2, *ORDER_ARGS)
+        assert code == 0
+        assert report["report"]["kind"] == "antecedent_full"
 
     def test_timing_flag_adds_field(self, capsys):
         code, out = run(capsys, "validate", LOOP2, "--timing", "--json")

@@ -94,6 +94,20 @@ class TestParse:
         with pytest.raises(ProofParseError, match="not a consequent value"):
             proof_from_doc(doc)
 
+    def test_missing_node_keys_named_in_sorted_order(self):
+        doc = fixture_doc("loop2")
+        for key in ("rule", "ground", "children"):
+            del doc["nodes"][0][key]
+        with pytest.raises(ProofParseError, match="missing key 'children'"):
+            proof_from_doc(doc)
+
+    def test_missing_delta_keys_named_in_sorted_order(self):
+        doc = fixture_doc("loop2")
+        for key in ("from", "side", "pairs"):
+            del doc["delta"][0][key]
+        with pytest.raises(ProofParseError, match="missing key 'from'"):
+            proof_from_doc(doc)
+
     def test_child_index_out_of_range(self):
         doc = fixture_doc("loop2")
         doc["delta"][0]["child_index"] = 5

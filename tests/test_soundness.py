@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import json
 import random
 from collections import deque
@@ -16,7 +15,7 @@ from cep.soundness import (
     _shortest_root_path,
     check_global_soundness,
 )
-from conftest import bench_inputs, fixture_doc, proof_from_doc, random_proof
+from conftest import fixture_doc, knots, proof_from_doc, random_proof
 
 # The reference form of sloped relations that the bitmask coding of
 # cep.soundness is checked against: a frozenset of (source value, target
@@ -100,20 +99,6 @@ def decode(proof, coded) -> frozenset:
         for j in range(len(names))
         if row >> j & 1
     )
-
-
-@functools.lru_cache(maxsize=None)
-def knots() -> tuple:
-    """The seven (planted soundness, proof) knots of the benchmark's
-    ``knot`` workload, before its renaming."""
-    inputs = bench_inputs()
-    pool = random.Random(1)
-    out = []
-    for i in range(7):
-        sound = i % 2 == 0
-        doc = inputs.knot_doc(pool, 14 + (i // 2) % 3, 5, sound)
-        out.append((sound, parse_proof(json.dumps(doc))))
-    return tuple(out)
 
 
 class TestRelationAlgebra:

@@ -18,8 +18,11 @@ from cep.traces import (
     steps,
 )
 from conftest import (
+    FIXTURES,
     all_paths,
     fixture_doc,
+    knots,
+    load_fixture,
     proof_from_doc,
     random_corpus,
     random_proof,
@@ -191,6 +194,37 @@ class TestSteps:
                     assert steps(proof, side, (node_id, *values)) == sorted(expected)
 
 
+def reference_cycles(proof, side, k):
+    """Reference enumerator for ``_simple_cycles``: every vertex is a root
+    and walks every simple cycle through it, with no ordering cut."""
+    roots = sorted(
+        (node_id, *values)
+        for node_id, node in proof.nodes.items()
+        for values in product(node.values(side), repeat=k)
+    )
+    walks = []
+    for root in roots:
+        stack = [((root,), frozenset([root]))]
+        while stack:
+            walk, on_walk = stack.pop()
+            for vertex, _w in steps(proof, side, walk[-1]):
+                if vertex == root:
+                    walks.append(walk + (vertex,))
+                elif vertex not in on_walk:
+                    stack.append((walk + (vertex,), on_walk | {vertex}))
+    return [
+        (Path(nodes), *(Trace(side=side, values=values) for values in traces))
+        for nodes, *traces in sorted(tuple(zip(*walk)) for walk in walks)
+    ]
+
+
+def assert_matches_reference(proof, binary):
+    for side in ("left", "right"):
+        assert simple_cycles(proof, side) == reference_cycles(proof, side, 1)
+    if binary:
+        assert simple_binary_cycles(proof) == reference_cycles(proof, "left", 2)
+
+
 class TestSimpleCycles:
     def test_loop2_left(self, loop2):
         got = simple_cycles(loop2, "left")
@@ -237,6 +271,19 @@ class TestSimpleCycles:
             assert pairs[0] == pairs[-1]
             assert len(set(pairs[:-1])) == len(pairs) - 1
             assert follows(proof, path, trace)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_random_proofs(self, seed):
+        assert_matches_reference(random_proof(5_100 + seed), binary=True)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    def test_matches_reference_on_fixtures(self, name):
+        assert_matches_reference(load_fixture(name), binary=True)
+
+    @pytest.mark.parametrize("index", [0, 3, 4, 6])
+    def test_matches_reference_on_knots(self, index):
+        # Unary cycles only: binary cycles on a knot run for minutes.
+        assert_matches_reference(knots()[index][1], binary=False)
 
 
 class TestTraceInjectivityConsequence:
