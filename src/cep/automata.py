@@ -43,7 +43,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .ordinal import BOT, ZERO, Ordinal, TropicalWeight, ord_add, trop_oplus
-from .proofgraph import LEFT, RIGHT, Proof, terminal_values
+from .proofgraph import LEFT, RIGHT, Optional, Proof, terminal_values
+from .proofgraph import check_shape, fail, read_json
 from .traces import closure, sccs
 
 __all__ = [
@@ -597,57 +598,10 @@ def _state_to_json(state: State) -> dict:
     return out
 
 
-def _expect(cond: bool, message: str, location: str):
-    if not cond:
-        raise ValueError(f"{location}: {message}")
-
-
-def _is_int(raw) -> bool:
-    return isinstance(raw, int) and not isinstance(raw, bool)
-
-
-def _field(raw, key: str, location: str):
-    _expect(isinstance(raw, dict), "expected an object", location)
-    _expect(key in raw, f"missing key {key!r}", location)
-    return raw[key]
-
-
-def _list_field(raw, key: str, location: str) -> list:
-    value = _field(raw, key, location)
-    _expect(isinstance(value, list), "expected a list", f"{location}.{key}")
-    return value
-
-
-def _state_from_json(raw, location: str) -> State:
-    kind = _field(raw, "kind", location)
-    _expect(isinstance(kind, str), "expected a string", f"{location}.kind")
-    _expect(kind in KINDS, f"unknown state kind {kind!r}", f"{location}.kind")
-    node = raw.get("node", "")
-    value = raw.get("value", "")
-    level = raw.get("level", 0)
-    _expect(isinstance(node, str), "expected a string", f"{location}.node")
-    _expect(isinstance(value, str), "expected a string", f"{location}.value")
-    _expect(_is_int(level), "expected an integer", f"{location}.level")
-    return State(KINDS.index(kind), node=node, value=value, level=level)
-
-
 def _letter_to_json(letter: Letter) -> dict:
     if letter.is_node:
         return {"node": letter.node}
     return {"ants": list(letter.ants), "con": letter.con}
-
-
-def _letter_from_json(raw, location: str) -> Letter:
-    _expect(isinstance(raw, dict), "expected a letter object", location)
-    if "node" in raw:
-        _expect(isinstance(raw["node"], str), "expected a string", f"{location}.node")
-        return Letter.node_ref(raw["node"])
-    ants = _list_field(raw, "ants", location)
-    for i, ant in enumerate(ants):
-        _expect(isinstance(ant, str), "expected a string", f"{location}.ants[{i}]")
-    con = _field(raw, "con", location)
-    _expect(isinstance(con, str), "expected a string", f"{location}.con")
-    return Letter.value_pair(ants, con)
 
 
 def automaton_to_json(auto: WeightedAutomaton) -> str:
@@ -674,56 +628,80 @@ def automaton_to_json(auto: WeightedAutomaton) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _int_or_null(value) -> str | None:
+    if value is not None and type(value) is not int:
+        return "expected an integer or null"
+
+
+_STATE = {
+    "kind": str,
+    "node": Optional(str),
+    "value": Optional(str),
+    "level": Optional(int),
+}
+_LETTER = {"node": Optional(str), "ants": Optional([str]), "con": Optional(str)}
+_AUTOMATON = {
+    "kind": str,
+    "approx_level": Optional(_int_or_null),
+    "states": [_STATE],
+    "initial": int,
+    "finals": [int],
+    "alphabet": [_LETTER],
+    "transitions": [{"src": int, "letter": _LETTER, "dst": int, "weight": object}],
+}
+
+
 def automaton_from_json(text: str | bytes) -> WeightedAutomaton:
     """Read an automaton written by :func:`automaton_to_json`.  Raises
-    ``ValueError`` with a JSON-path location on a malformed document."""
-    doc = json.loads(text)
-    kind = _field(doc, "kind", "$")
-    _expect(isinstance(kind, str), "expected a string", "$.kind")
-    approx_level = doc.get("approx_level")
-    _expect(
-        approx_level is None or _is_int(approx_level),
-        "expected an integer or null",
-        "$.approx_level",
-    )
-    states = [
-        _state_from_json(raw, f"$.states[{i}]")
-        for i, raw in enumerate(_list_field(doc, "states", "$"))
-    ]
+    :class:`ProofParseError`, a ``ValueError``, with a JSON-path location
+    on a malformed document."""
+    doc = read_json(text)
+    check_shape(doc, _AUTOMATON)
+    states = []
+    for i, raw in enumerate(doc["states"]):
+        kind = raw["kind"]
+        if kind not in KINDS:
+            fail(f"unknown state kind {kind!r}", "states", i, "kind")
+        node, value = raw.get("node", ""), raw.get("value", "")
+        states.append(State(KINDS.index(kind), node, value, raw.get("level", 0)))
 
-    def state_at(raw, location: str) -> State:
-        _expect(_is_int(raw), "expected a state index", location)
-        _expect(
-            0 <= raw < len(states),
-            f"state index {raw} out of range for {len(states)} states",
-            location,
-        )
-        return states[raw]
+    def state_at(index: int, *path) -> State:
+        if not 0 <= index < len(states):
+            fail(f"state index {index} out of range for {len(states)} states", *path)
+        return states[index]
+
+    def letter_at(raw: dict, *path) -> Letter:
+        if "node" in raw:
+            if len(raw) > 1:
+                fail("letter has both 'node' and 'ants'/'con'", *path)
+            return Letter.node_ref(raw["node"])
+        if len(raw) < 2:
+            fail(f"missing key {min({'ants', 'con'} - raw.keys())!r}", *path)
+        return Letter.value_pair(raw["ants"], raw["con"])
 
     transitions: dict[tuple[State, Letter], dict[State, Ordinal]] = {}
-    for i, raw in enumerate(_list_field(doc, "transitions", "$")):
-        loc = f"$.transitions[{i}]"
-        src = state_at(_field(raw, "src", loc), f"{loc}.src")
-        dst = state_at(_field(raw, "dst", loc), f"{loc}.dst")
-        letter = _letter_from_json(_field(raw, "letter", loc), f"{loc}.letter")
-        weight = _field(raw, "weight", loc)
+    for i, raw in enumerate(doc["transitions"]):
+        src = state_at(raw["src"], "transitions", i, "src")
+        dst = state_at(raw["dst"], "transitions", i, "dst")
+        letter = letter_at(raw["letter"], "transitions", i, "letter")
         try:
-            weight = Ordinal.parse(weight)
+            weight = Ordinal.parse(raw["weight"])
         except ValueError as exc:
-            raise ValueError(f"{loc}.weight: {exc}") from exc
-        transitions.setdefault((src, letter), {})[dst] = weight
+            fail(str(exc), "transitions", i, "weight")
+        targets = transitions.setdefault((src, letter), {})
+        if dst in targets:
+            fail(f"duplicate transition {src} -{letter}-> {dst}", "transitions", i)
+        targets[dst] = weight
     return WeightedAutomaton(
-        kind=kind,
+        kind=doc["kind"],
         states=frozenset(states),
-        initial=state_at(_field(doc, "initial", "$"), "$.initial"),
+        initial=state_at(doc["initial"], "initial"),
         finals=frozenset(
-            state_at(raw, f"$.finals[{i}]")
-            for i, raw in enumerate(_list_field(doc, "finals", "$"))
+            state_at(raw, "finals", i) for i, raw in enumerate(doc["finals"])
         ),
         transitions=transitions,
         alphabet=frozenset(
-            _letter_from_json(raw, f"$.alphabet[{i}]")
-            for i, raw in enumerate(_list_field(doc, "alphabet", "$"))
+            letter_at(raw, "alphabet", i) for i, raw in enumerate(doc["alphabet"])
         ),
-        approx_level=approx_level,
+        approx_level=doc.get("approx_level"),
     )

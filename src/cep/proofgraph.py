@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple, NoReturn
 
 from .ordinal import Ordinal
 
@@ -35,7 +35,8 @@ SIDES = (LEFT, RIGHT)
 
 
 class ProofParseError(ValueError):
-    """Parse failure with a JSON-path style location."""
+    """A malformed input document (a proof, or a saved automaton), with
+    the JSON path of the fault as its location."""
 
     def __init__(self, message: str, location: str = ""):
         self.location = location
@@ -174,32 +175,110 @@ class Proof:
         )
 
 
-_NODE_KEYS = {
-    "id",
-    "rule",
-    "axiom",
-    "sequent",
-    "ant_values",
-    "con_values",
-    "children",
-    "ground",
-    "excluded",
-    "equates",
+class Optional(NamedTuple):
+    """An object key that may be absent, with the shape of its value."""
+
+    shape: object
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a bool"}
+
+
+def fail(message: str, *path) -> NoReturn:
+    """Raise :class:`ProofParseError` at the JSON path made of ``path``'s
+    keys and indices (``"$"`` when it is empty)."""
+    steps = (f"[{s}]" if type(s) is int else f".{s}" for s in path)
+    raise ProofParseError(message, "$" + "".join(steps))
+
+
+def read_json(source: bytes | str):
+    """The JSON value of ``source``; malformed text, an over-long integer
+    literal or nesting past the recursion limit is a ProofParseError."""
+    try:
+        return json.loads(source)
+    except (ValueError, RecursionError) as exc:
+        raise ProofParseError(f"malformed JSON: {exc}") from exc
+
+
+def check_shape(doc, shape) -> None:
+    """Raise :class:`ProofParseError` at the first place where ``doc``
+    does not have ``shape``.
+
+    A shape is a type (``str``, ``int``, ``bool``, where a bool is not an
+    int, or ``object`` for any value), ``[s]`` for a list of ``s``,
+    ``(s1, ..., sk)`` for a list of exactly k items checked and reported as
+    a whole, ``{key: s}`` for an object with exactly those keys, less the
+    ones marked :class:`Optional`, or a check function, which returns the
+    message for a wrong value and None for a right one.
+    """
+    if bad := _mismatch(doc, shape):
+        fail(bad[0], *reversed(bad[1:]))
+
+
+def _mismatch(value, shape) -> list | None:
+    """None when ``value`` has ``shape``; else the message of its first
+    mismatch followed by the indices and keys that lead to it, innermost
+    first.  Nothing is formatted while the value fits."""
+    kind = type(shape)
+    if kind is type:
+        if type(value) is not shape and shape is not object:
+            return [f"expected {_TYPE_NAMES[shape]}"]
+    elif kind is list:
+        if type(value) is not list:
+            return ["expected a list"]
+        for i, item in enumerate(value):
+            if bad := _mismatch(item, shape[0]):
+                return [*bad, i]
+    elif kind is tuple:
+        if type(value) is not list or len(value) != len(shape):
+            return [f"expected a list of {len(shape)} items"]
+        for item, item_shape in zip(value, shape):
+            if bad := _mismatch(item, item_shape):
+                return bad
+    elif kind is dict:
+        if type(value) is not dict:
+            return ["expected an object"]
+        if not value.keys() <= shape.keys():
+            return [f"unknown keys {sorted(value.keys() - shape.keys())}"]
+        if len(value) < len(shape):
+            for key in sorted(shape.keys() - value.keys()):
+                if type(shape[key]) is not Optional:
+                    return [f"missing key {key!r}"]
+        for key, item in value.items():
+            item_shape = shape[key]
+            if type(item_shape) is Optional:
+                item_shape = item_shape.shape
+            if bad := _mismatch(item, item_shape):
+                return [*bad, key]
+    elif message := shape(value):
+        return [message]
+    return None
+
+
+def _sequent(value) -> str | None:
+    if not (
+        type(value) is dict
+        and value.keys() == {"ant", "con"}
+        and type(value["ant"]) is str
+        and type(value["con"]) is str
+    ):
+        return "sequent must be {'ant': string, 'con': string}"
+
+
+_NODE = {
+    "id": str,
+    "rule": str,
+    "axiom": bool,
+    "sequent": _sequent,
+    "ant_values": [str],
+    "con_values": [str],
+    "children": [str],
+    "ground": [str],
+    "excluded": [str],
+    "equates": [(str, str)],
 }
-_DELTA_KEYS = {"from", "child_index", "side", "pairs"}
-_TOP_KEYS = {"root", "nodes", "delta"}
-
-
-def _expect(cond: bool, message: str, location: str):
-    if not cond:
-        raise ProofParseError(message, location)
-
-
-def _str_list(raw, location: str) -> list[str]:
-    _expect(isinstance(raw, list), "expected a list", location)
-    for i, item in enumerate(raw):
-        _expect(isinstance(item, str), "expected a string", f"{location}[{i}]")
-    return list(raw)
+_DELTA = {"from": str, "child_index": int, "side": str, "pairs": [(str, str, object)]}
+_PROOF = {"root": str, "nodes": [_NODE], "delta": Optional([_DELTA])}
 
 
 def parse_proof(source: bytes | str) -> Proof:
@@ -210,151 +289,90 @@ def parse_proof(source: bytes | str) -> Proof:
     axiom flags inconsistent with the children list, and weight literals
     that do not parse.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-        raise ProofParseError(f"malformed JSON: {exc}") from exc
-    _expect(isinstance(doc, dict), "top level must be an object", "$")
-    unknown = set(doc) - _TOP_KEYS
-    _expect(not unknown, f"unknown keys {sorted(unknown)}", "$")
-    _expect("nodes" in doc, "missing 'nodes'", "$")
-    _expect(isinstance(doc["nodes"], list), "'nodes' must be a list", "$.nodes")
-    _expect(bool(doc["nodes"]), "root missing: empty node set", "$.nodes")
-    _expect("root" in doc, "missing 'root'", "$")
-    _expect(isinstance(doc["root"], str), "'root' must be a node id", "$.root")
+    doc = read_json(source)
+    check_shape(doc, _PROOF)
+    if not doc["nodes"]:
+        fail("root missing: empty node set", "nodes")
 
     nodes: dict[str, Node] = {}
     for i, raw in enumerate(doc["nodes"]):
-        loc = f"$.nodes[{i}]"
-        _expect(isinstance(raw, dict), "node must be an object", loc)
-        unknown = set(raw) - _NODE_KEYS
-        _expect(not unknown, f"unknown keys {sorted(unknown)}", loc)
-        if missing := _NODE_KEYS - raw.keys():
-            raise ProofParseError(f"missing key {min(missing)!r}", loc)
         node_id = raw["id"]
-        _expect(isinstance(node_id, str) and node_id, "bad node id", f"{loc}.id")
-        _expect(
-            node_id not in nodes, f"duplicate node id {node_id!r}", f"{loc}.id"
-        )
-        _expect(isinstance(raw["rule"], str), "rule must be a string", f"{loc}.rule")
-        seq = raw["sequent"]
-        _expect(
-            isinstance(seq, dict)
-            and set(seq) == {"ant", "con"}
-            and all(isinstance(side, str) for side in seq.values()),
-            "sequent must be {'ant': string, 'con': string}",
-            f"{loc}.sequent",
-        )
-        ant_values = _str_list(raw["ant_values"], f"{loc}.ant_values")
-        con_values = _str_list(raw["con_values"], f"{loc}.con_values")
-        children = _str_list(raw["children"], f"{loc}.children")
-        _expect(isinstance(raw["axiom"], bool), "axiom must be a bool", f"{loc}.axiom")
-        _expect(
-            raw["axiom"] == (not children),
-            "axiom flag must match an empty children list",
-            f"{loc}.axiom",
-        )
-        ground = _str_list(raw["ground"], f"{loc}.ground")
-        excluded = _str_list(raw["excluded"], f"{loc}.excluded")
-        for name, vals in (("ground", ground), ("excluded", excluded)):
-            for v in vals:
-                _expect(
-                    v in con_values,
-                    f"{name} value {v!r} not a consequent value of {node_id!r}",
-                    f"{loc}.{name}",
+        if not node_id:
+            fail("bad node id", "nodes", i, "id")
+        if node_id in nodes:
+            fail(f"duplicate node id {node_id!r}", "nodes", i, "id")
+        children = tuple(raw["children"])
+        if raw["axiom"] != (not children):
+            fail("axiom flag must match an empty children list", "nodes", i, "axiom")
+        ant_values = frozenset(raw["ant_values"])
+        con_values = frozenset(raw["con_values"])
+        for name in ("ground", "excluded"):
+            for v in raw[name]:
+                if v not in con_values:
+                    fail(
+                        f"{name} value {v!r} not a consequent value of {node_id!r}",
+                        "nodes", i, name,
+                    )
+        for j, (a, c) in enumerate(raw["equates"]):
+            if a not in ant_values:
+                fail(
+                    f"equated value {a!r} not an antecedent value",
+                    "nodes", i, "equates", j,
                 )
-        _expect(isinstance(raw["equates"], list), "equates must be a list", f"{loc}.equates")
-        equates: list[tuple[str, str]] = []
-        for j, pair in enumerate(raw["equates"]):
-            ploc = f"{loc}.equates[{j}]"
-            _expect(
-                isinstance(pair, list) and len(pair) == 2,
-                "equates entries are [ant, con] pairs",
-                ploc,
-            )
-            a, c = pair
-            _expect(a in ant_values, f"equated value {a!r} not an antecedent value", ploc)
-            _expect(c in con_values, f"equated value {c!r} not a consequent value", ploc)
-            equates.append((a, c))
+            if c not in con_values:
+                fail(
+                    f"equated value {c!r} not a consequent value",
+                    "nodes", i, "equates", j,
+                )
+        seq = raw["sequent"]
         nodes[node_id] = Node(
             id=node_id,
             rule=raw["rule"],
             sequent=Sequent(ant=seq["ant"], con=seq["con"]),
-            ant_values=frozenset(ant_values),
-            con_values=frozenset(con_values),
-            children=tuple(children),
-            ground=frozenset(ground),
-            excluded=frozenset(excluded),
-            equates=frozenset(equates),
+            ant_values=ant_values,
+            con_values=con_values,
+            children=children,
+            ground=frozenset(raw["ground"]),
+            excluded=frozenset(raw["excluded"]),
+            equates=frozenset(map(tuple, raw["equates"])),
         )
 
-    _expect(doc["root"] in nodes, f"root {doc['root']!r} is not a node", "$.root")
-    for node in nodes.values():
+    if doc["root"] not in nodes:
+        fail(f"root {doc['root']!r} is not a node", "root")
+    for i, node in enumerate(nodes.values()):
         for j, child in enumerate(node.children):
-            _expect(
-                child in nodes,
-                f"dangling child reference {child!r}",
-                f"$.nodes[{node.id}].children[{j}]",
-            )
+            if child not in nodes:
+                fail(f"dangling child reference {child!r}", "nodes", i, "children", j)
 
     known_values = {v for n in nodes.values() for v in n.ant_values | n.con_values}
     delta: dict[DeltaKey, dict[tuple[str, str], Ordinal]] = {}
-    raw_delta = doc.get("delta", [])
-    _expect(isinstance(raw_delta, list), "'delta' must be a list", "$.delta")
-    for i, raw in enumerate(raw_delta):
-        loc = f"$.delta[{i}]"
-        _expect(isinstance(raw, dict), "delta entry must be an object", loc)
-        unknown = set(raw) - _DELTA_KEYS
-        _expect(not unknown, f"unknown keys {sorted(unknown)}", loc)
-        if missing := _DELTA_KEYS - raw.keys():
-            raise ProofParseError(f"missing key {min(missing)!r}", loc)
+    for i, raw in enumerate(doc.get("delta", ())):
         parent = raw["from"]
-        _expect(isinstance(parent, str), "'from' must be a node id", f"{loc}.from")
-        _expect(parent in nodes, f"dangling node reference {parent!r}", f"{loc}.from")
+        if parent not in nodes:
+            fail(f"dangling node reference {parent!r}", "delta", i, "from")
         idx = raw["child_index"]
-        _expect(
-            isinstance(idx, int) and not isinstance(idx, bool),
-            "child_index must be an integer",
-            f"{loc}.child_index",
-        )
-        _expect(
-            0 <= idx < len(nodes[parent].children),
-            f"child_index {idx!r} out of range for {parent!r}",
-            f"{loc}.child_index",
-        )
+        if not 0 <= idx < len(nodes[parent].children):
+            fail(
+                f"child_index {idx!r} out of range for {parent!r}",
+                "delta", i, "child_index",
+            )
         side = raw["side"]
-        _expect(side in SIDES, f"side must be 'left' or 'right', got {side!r}", f"{loc}.side")
+        if side not in SIDES:
+            fail(f"side must be 'left' or 'right', got {side!r}", "delta", i, "side")
         key = (parent, idx, side)
-        _expect(key not in delta, f"duplicate delta entry for {key}", loc)
-        _expect(isinstance(raw["pairs"], list), "pairs must be a list", f"{loc}.pairs")
+        if key in delta:
+            fail(f"duplicate delta entry for {key}", "delta", i)
         pair_map: dict[tuple[str, str], Ordinal] = {}
-        for j, entry in enumerate(raw["pairs"]):
-            ploc = f"{loc}.pairs[{j}]"
-            _expect(
-                isinstance(entry, list) and len(entry) == 3,
-                "pairs entries are [src, dst, weight] triples",
-                ploc,
-            )
-            src, dst, weight_raw = entry
-            for v in (src, dst):
-                _expect(isinstance(v, str), "trace values must be strings", ploc)
-                _expect(
-                    v in known_values,
-                    f"dangling trace value reference {v!r}",
-                    ploc,
-                )
-            _expect(
-                (src, dst) not in pair_map,
-                f"duplicate trace pair ({src!r}, {dst!r})",
-                ploc,
-            )
+        for j, (src, dst, weight) in enumerate(raw["pairs"]):
+            if src not in known_values or dst not in known_values:
+                v = dst if src in known_values else src
+                fail(f"dangling trace value reference {v!r}", "delta", i, "pairs", j)
+            if (src, dst) in pair_map:
+                fail(f"duplicate trace pair ({src!r}, {dst!r})", "delta", i, "pairs", j)
             try:
-                weight = Ordinal.parse(weight_raw)
+                pair_map[src, dst] = Ordinal.parse(weight)
             except ValueError as exc:  # OrdinalParseError, or an over-long literal
-                raise ProofParseError(f"weight parse failure: {exc}", ploc) from exc
-            pair_map[(src, dst)] = weight
+                fail(f"weight parse failure: {exc}", "delta", i, "pairs", j)
         delta[key] = pair_map
 
     return Proof(root=doc["root"], nodes=nodes, delta=delta)

@@ -75,6 +75,7 @@ MALFORMED_LOOP2 = [
     ("dict_rule", ("nodes", 0, "rule"), {"x": 1}, "$.nodes[0].rule"),
     ("int_sequent_ant", ("nodes", 0, "sequent", "ant"), 5, "$.nodes[0].sequent"),
     ("null_sequent_con", ("nodes", 1, "sequent", "con"), None, "$.nodes[1].sequent"),
+    ("dangling_child", ("nodes", 1, "children", 0), "nope", "$.nodes[1].children[0]"),
 ]
 
 

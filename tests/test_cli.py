@@ -9,6 +9,7 @@ import pytest
 from cep.cli import _build_parser, run_cli
 from cep.soundness import check_global_soundness
 from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, proof_from_doc, set_in
+from test_proofgraph import mutation_sites
 
 SCHEMA = json.loads(
     (FilePath(__file__).parent.parent / "src" / "cep" / "report_schema.json").read_text()
@@ -19,6 +20,10 @@ STRICT2 = str(fixture_path("strict2"))
 UNSOUND1 = str(fixture_path("unsound1"))
 
 ORDER_ARGS = ["--node", "n0", "--ant", "a", "--con", "c"]
+
+
+# A well-formed transition of a one-state automaton.
+DUPLICATE_TRANSITION = {"src": 0, "letter": {"node": "n0"}, "dst": 0, "weight": "1"}
 
 
 def run(capsys, *argv):
@@ -361,11 +366,15 @@ class TestAutomataAndContain:
             (("finals", 0), -1, "$.finals[0]"),
             (("alphabet", 0), {"node": 3}, "$.alphabet[0].node"),
             (("states", 0, "kind"), ["start"], "$.states[0].kind"),
+            (("transitions",), [DUPLICATE_TRANSITION] * 2, "$.transitions[1]"),
+            (("states", 0, "color"), "red", "$.states[0]"),
+            (("alphabet", 0), {"node": "n0", "con": "c"}, "$.alphabet[0]"),
         ],
         ids=[
             "int_states", "dst_out_of_range", "str_src", "str_letter",
             "str_ants", "float_weight", "unknown_kind", "negative_final",
-            "int_node_letter", "list_kind",
+            "int_node_letter", "list_kind", "duplicate_transition",
+            "unknown_key", "node_and_con_letter",
         ],
     )
     def test_contain_malformed_automaton_exits_2(
@@ -384,6 +393,59 @@ class TestAutomataAndContain:
         capsys.readouterr()
         assert run_cli(["contain", str(bad), str(good)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+    def test_contain_deeply_nested_file_exits_2(self, capsys, tmp_path):
+        good = tmp_path / "b.json"
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--consequent", "--save", str(good)])
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        capsys.readouterr()
+        assert run_cli(["contain", str(bad), str(good)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("document", ["proof", "automaton"])
+    def test_every_mistyped_site_is_located(self, capsys, tmp_path, document):
+        """Each value of loop2 and of its saved consequent automaton, put
+        in place of each JSON type but its own, makes the reader exit 2
+        at the value's path.  A trace pair or equates entry, and a sequent,
+        are reported as a whole.  An integer weight is a weight, and an
+        integer ``approx_level`` is allowed in place of null."""
+        good = tmp_path / "b.json"
+        run_cli(["automata", LOOP2, *ORDER_ARGS, "--consequent", "--save", str(good)])
+        bad = tmp_path / "bad.json"
+        if document == "proof":
+            original, argv = fixture_doc("loop2"), ["validate", str(bad)]
+        else:
+            original = json.loads(good.read_text())
+            argv = ["contain", str(bad), str(good)]
+        wrong = []
+        for site in mutation_sites(original):
+            own = original
+            for step in site:
+                own = own[step]
+            entry_item = len(site) > 2 and site[-3] in ("pairs", "equates")
+            whole = entry_item or site[-2:-1] == ("sequent",)
+            reported = site[:-1] if whole else site
+            location = "$" + "".join(
+                f"[{s}]" if isinstance(s, int) else f".{s}" for s in reported
+            )
+            weight = site[-1] == "weight" or (entry_item and site[-1] == 2)
+            for value in (None, True, 7, 1.5, "x", [], {}):
+                if type(value) is type(own):
+                    continue
+                doc = json.loads(json.dumps(original))
+                set_in(doc, site, value)
+                bad.write_text(json.dumps(doc))
+                capsys.readouterr()
+                code = run_cli(argv)
+                err = capsys.readouterr().err
+                if type(value) is int and (weight or site == ("approx_level",)):
+                    ok = code != 2
+                else:
+                    ok = code == 2 and err.startswith(f"error: {location}: ")
+                if not ok:
+                    wrong.append((site, value, code, err))
+        assert not wrong
 
     def test_contain_oracle_engine(self, capsys, tmp_path):
         b_path = tmp_path / "b.json"

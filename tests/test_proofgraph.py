@@ -130,6 +130,10 @@ class TestParse:
         with pytest.raises(ProofParseError, match="malformed JSON"):
             parse_proof('{"root": ' + "1" * 5000 + "}")
 
+    def test_deeply_nested_json(self):
+        with pytest.raises(ProofParseError, match="malformed JSON"):
+            parse_proof("[" * 100_000)
+
     def test_ordinal_weight_accepted(self):
         doc = fixture_doc("loop2")
         doc["delta"][0]["pairs"] = [["a", "a", "w*2+3"]]
