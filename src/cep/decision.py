@@ -158,6 +158,8 @@ def decide_order(
     oracle_len: int = 12,
 ) -> OrderVerdict:
     check_bounds(lag_cap, oracle_len)
+    if engine not in ("lagset", "oracle"):
+        raise ValueError(f"unknown engine {engine!r}")
     relation = "lt" if strict else "leq"
     gates = applicability_gates(proof, query)
     if gates is not None:
@@ -205,10 +207,8 @@ def decide_order(
 
     if engine == "lagset":
         verdict = decide_containment(consequent, antecedent, strict, lag_cap=lag_cap)
-    elif engine == "oracle":
-        verdict = oracle_compare(consequent, antecedent, strict, oracle_len)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        verdict = oracle_compare(consequent, antecedent, strict, oracle_len)
     status = ORDER_STATUS[verdict.status]
     reasons.append(
         {"stage": "containment", "ok": verdict.status == "VERIFIED", **verdict.to_json()}

@@ -3,13 +3,18 @@ pre-proofs with trace annotations.
 
 Sequent text is opaque: all semantic content enters through the per-node
 annotations (ground / excluded / equated values) and the per-edge trace
-pair maps.  Proof objects are immutable after parsing.
+pair maps.  Proof objects are immutable after parsing.  Each derives its
+trace graph (edges, pair maps merged over premise positions, the sorted
+steps out of each node and value) once, on first use; every walk reads
+that graph, and only the parser, the validator, the serializer and this
+derivation read ``delta`` by premise position.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, NoReturn
 
 from .ordinal import Ordinal
@@ -99,27 +104,18 @@ class ValidationReport:
         return tuple(v for v in self.violations if v.kind != "trace_injectivity")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Proof:
     """A rooted proof graph together with its trace pair annotations.
 
     ``delta`` maps (parent, child index, side) to a partial map from value
-    pairs to ordinal progression amounts.
+    pairs to ordinal progression amounts; :meth:`edges`, :meth:`pairs` and
+    :meth:`out_steps` read the trace graph derived from it on first use.
     """
 
     root: str
     nodes: dict[str, Node]
     delta: dict[DeltaKey, dict[tuple[str, str], Ordinal]]
-    _pair_cache: dict = field(default_factory=dict, repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Proof):
-            return NotImplemented
-        return (
-            self.root == other.root
-            and self.nodes == other.nodes
-            and self.delta == other.delta
-        )
 
     def node(self, node_id: str) -> Node:
         try:
@@ -127,36 +123,51 @@ class Proof:
         except KeyError:
             raise KeyError(f"unknown node id {node_id!r}") from None
 
+    @cached_property
+    def _pair_maps(self) -> dict[tuple[str, str, str], dict[tuple[str, str], Ordinal]]:
+        """The trace pair map of each (parent, child, side) of every edge:
+        the maps of a child at several premise positions merged, keeping
+        the largest weight for a pair that occurs more than once."""
+        merged: dict = {}
+        for node in self.nodes.values():
+            for idx, child in enumerate(node.children):
+                for side in SIDES:
+                    out = merged.setdefault((node.id, child, side), {})
+                    for pair, weight in self.delta.get((node.id, idx, side), {}).items():
+                        if pair not in out or out[pair] < weight:
+                            out[pair] = weight
+        return merged
+
+    @cached_property
+    def _edges(self) -> list[tuple[str, str]]:
+        return sorted({(parent, child) for parent, child, _side in self._pair_maps})
+
+    @cached_property
+    def _steps(self) -> dict[tuple[str, str], dict[str, list]]:
+        """(side, node) to the steps ``((child, dst), (weight,))`` out of
+        each value of the node that has one, sorted."""
+        table: dict = {}
+        for (parent, child, side), pair_map in sorted(self._pair_maps.items()):
+            out = table.setdefault((side, parent), {})
+            for (src, dst), weight in sorted(pair_map.items()):
+                out.setdefault(src, []).append(((child, dst), (weight,)))
+        return table
+
     def edges(self) -> list[tuple[str, str]]:
         """Distinct (parent, child) node pairs, sorted."""
-        seen = set()
-        for node in self.nodes.values():
-            for child in node.children:
-                seen.add((node.id, child))
-        return sorted(seen)
+        return self._edges
 
     def pairs(self, parent: str, child: str, side: str) -> Mapping[tuple[str, str], Ordinal]:
-        """The trace pair map of a (parent, child) node pair on one side.
+        """The trace pair map of a (parent, child) node pair on one side,
+        merged over the premise positions of the child."""
+        self.node(parent)  # an unknown node is a KeyError
+        return self._pair_maps.get((parent, child, side), {})
 
-        When the same child occurs at several premise positions the
-        per-occurrence maps are merged, keeping the largest weight for a
-        pair that occurs more than once.
-        """
-        key = (parent, child, side)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        merged: dict[tuple[str, str], Ordinal] = {}
-        node = self.node(parent)
-        for idx, ch in enumerate(node.children):
-            if ch != child:
-                continue
-            for pair, weight in self.delta.get((parent, idx, side), {}).items():
-                old = merged.get(pair)
-                if old is None or old < weight:
-                    merged[pair] = weight
-        self._pair_cache[key] = merged
-        return merged
+    def out_steps(self, node_id: str, side: str) -> Mapping[str, list]:
+        """The sorted trace steps ``((child, dst), (weight,))`` out of each
+        ``side`` value of a node; a value with no step is absent."""
+        self.node(node_id)  # an unknown node is a KeyError
+        return self._steps.get((side, node_id), {})
 
     def all_values(self, side: str) -> frozenset[str]:
         out: set[str] = set()
@@ -168,11 +179,6 @@ class Proof:
         """Antecedent values equated with ``con_value`` at a node."""
         node = self.node(node_id)
         return frozenset(a for a, c in node.equates if c == con_value)
-
-    def parents(self, node_id: str) -> list[str]:
-        return sorted(
-            n.id for n in self.nodes.values() if node_id in n.children
-        )
 
 
 class Optional(NamedTuple):
@@ -423,6 +429,12 @@ def validate(proof: Proof) -> ValidationReport:
     when some per-edge, per-side map sends two sources to one target.
     """
     violations: list[Violation] = []
+
+    def flag(kind: str, key: DeltaKey, detail: str) -> None:
+        parent, idx, side = key
+        location = f"delta ({parent!r}, child {idx}, {side})"
+        violations.append(Violation(kind=kind, location=location, detail=detail))
+
     shared = proof.all_values(LEFT) & proof.all_values(RIGHT)
     for v in sorted(shared):
         violations.append(
@@ -432,6 +444,7 @@ def validate(proof: Proof) -> ValidationReport:
                 detail="value occurs on both antecedent and consequent sides",
             )
         )
+
     injective = True
     for key in sorted(proof.delta):
         parent, idx, side = key
@@ -440,34 +453,21 @@ def validate(proof: Proof) -> ValidationReport:
         dst_values = proof.node(child).values(side)
         targets_seen: dict[str, str] = {}
         for src, dst in sorted(proof.delta[key]):
-            loc = f"delta ({parent!r}, child {idx}, {side})"
             if src not in src_values:
-                violations.append(
-                    Violation(
-                        kind="delta_domain",
-                        location=loc,
-                        detail=f"source {src!r} is not a {side} value of {parent!r}",
-                    )
+                flag(
+                    "delta_domain", key,
+                    f"source {src!r} is not a {side} value of {parent!r}",
                 )
             if dst not in dst_values:
-                violations.append(
-                    Violation(
-                        kind="delta_codomain",
-                        location=loc,
-                        detail=f"target {dst!r} is not a {side} value of {child!r}",
-                    )
+                flag(
+                    "delta_codomain", key,
+                    f"target {dst!r} is not a {side} value of {child!r}",
                 )
             if dst in targets_seen:
                 injective = False
-                violations.append(
-                    Violation(
-                        kind="trace_injectivity",
-                        location=loc,
-                        detail=(
-                            f"sources {targets_seen[dst]!r} and {src!r} both map "
-                            f"to {dst!r}"
-                        ),
-                    )
+                flag(
+                    "trace_injectivity", key,
+                    f"sources {targets_seen[dst]!r} and {src!r} both map to {dst!r}",
                 )
             else:
                 targets_seen[dst] = src
@@ -492,8 +492,5 @@ def terminal_values(proof: Proof, node_id: str, side: str) -> frozenset[str]:
     node = proof.node(node_id)
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    out = set(node.values(side))
-    for idx in range(len(node.children)):
-        for src, _dst in proof.delta.get((node_id, idx, side), {}):
-            out.discard(src)
-    return frozenset(out)
+    moves = proof.out_steps(node_id, side)
+    return frozenset(v for v in node.values(side) if v not in moves)

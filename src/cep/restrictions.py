@@ -18,6 +18,7 @@ the traces module and backs the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .ordinal import ZERO, Ordinal
@@ -80,16 +81,14 @@ def compute_thresholds(proof: Proof, query) -> Thresholds:
         for node in proof.nodes.values()
     )
     in_degree = max(
-        (len(proof.parents(node_id)) for node_id in proof.nodes), default=0
+        Counter(child for _parent, child in proof.edges()).values(), default=0
     )
     cycle_threshold = sum(
         len(node.ant_values) ** 2 for node in proof.nodes.values()
     )
     max_step = ZERO
-    for (_parent, _idx, side), pairs in proof.delta.items():
-        if side != LEFT:
-            continue
-        for weight in pairs.values():
+    for edge in proof.edges():
+        for weight in proof.pairs(*edge, LEFT).values():
             if max_step < weight:
                 max_step = weight
     if max_step.is_finite():

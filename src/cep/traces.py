@@ -1,7 +1,9 @@
 """Paths, traces and the follows relation; reverse-sum trace sizes;
 maximal-trace classification; cycle and reachability analysis over
 (node, value) pairs.  Every walk in the trace graph goes through
-:func:`steps`, the step relation of a node and a tuple of trace values.
+:func:`steps`, the step relation of a node and a tuple of trace values,
+which reads the graph that :class:`cep.proofgraph.Proof` derives once
+from its trace pair annotations.
 The graph primitives shared with the automata, the restriction checks and
 soundness live here too: :func:`closure` (every vertex reachable from a
 set of starts), :func:`bfs` (the one parent-pointer breadth-first
@@ -152,24 +154,22 @@ def classify_right_trace(proof: Proof, path: Path, trace: Trace) -> TraceClassif
 
 
 def steps(proof: Proof, side: str, vertex: tuple) -> list[tuple[tuple, tuple]]:
-    """The trace steps out of ``vertex = (node, v1, ..., vk)``, sorted: for
-    each child and each choice of trace pairs ``(vi, di)`` on that edge,
-    ``((child, d1, ..., dk), (w1, ..., wk))`` with the pairs' weights.  A
-    vertex is terminal when it has no steps."""
-    node_id = vertex[0]
-    out = []
-    for child in set(proof.node(node_id).children):
-        pairs = proof.pairs(node_id, child, side).items()
-        partial = [((child,), ())]
-        for value in vertex[1:]:
-            partial = [
-                (target + (dst,), weights + (weight,))
-                for target, weights in partial
-                for (src, dst), weight in pairs
-                if src == value
-            ]
-        out += partial
-    out.sort()
+    """The trace steps out of ``vertex = (node, v1, ..., vk)``, k >= 1,
+    sorted: for each child and each choice of trace pairs ``(vi, di)`` on
+    that edge, ``((child, d1, ..., dk), (w1, ..., wk))`` with the pairs'
+    weights.  A vertex is terminal when it has no steps.  One value is a
+    lookup in the proof's trace graph, whose own list comes back (callers
+    only read it); more values join the steps of each value on the child."""
+    out_steps = proof.out_steps(vertex[0], side)
+    out = out_steps.get(vertex[1], [])
+    for value in vertex[2:]:
+        moves = out_steps.get(value, ())
+        out = [
+            (target + (dst,), weights + (weight,))
+            for target, weights in out
+            for (child, dst), (weight,) in moves
+            if child == target[0]
+        ]
     return out
 
 

@@ -41,18 +41,22 @@ def bench_inputs():
     return module
 
 
-@functools.lru_cache(maxsize=None)
-def knots() -> tuple:
-    """The seven (planted soundness, proof) knots of the benchmark's
+def knot_docs() -> list[tuple[bool, dict]]:
+    """The seven (planted soundness, document) knots of the benchmark's
     ``knot`` workload, before its renaming."""
     inputs = bench_inputs()
     pool = random.Random(1)
     out = []
     for i in range(7):
         sound = i % 2 == 0
-        doc = inputs.knot_doc(pool, 14 + (i // 2) % 3, 5, sound)
-        out.append((sound, parse_proof(json.dumps(doc))))
-    return tuple(out)
+        out.append((sound, inputs.knot_doc(pool, 14 + (i // 2) % 3, 5, sound)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def knots() -> tuple:
+    """The seven knots of :func:`knot_docs`, parsed."""
+    return tuple((sound, proof_from_doc(doc)) for sound, doc in knot_docs())
 
 
 def set_in(doc, path: tuple, value) -> None:
@@ -200,6 +204,18 @@ def random_proof(seed: int, **kwargs) -> Proof:
 
 def random_corpus(count: int, base_seed: int, **kwargs) -> list[Proof]:
     return [random_proof(base_seed + i, **kwargs) for i in range(count)]
+
+
+def merged_delta(proof: Proof) -> dict:
+    """Reference for ``Proof.pairs``, read from ``proof.delta`` by premise
+    position: the pair map of each (parent, child, side) with a pair that
+    occurs at several positions of the child kept at its largest weight."""
+    merged: dict = {}
+    for (parent, idx, side), pair_map in proof.delta.items():
+        out = merged.setdefault((parent, proof.node(parent).children[idx], side), {})
+        for pair, weight in pair_map.items():
+            out[pair] = max(out.get(pair, weight), weight)
+    return merged
 
 
 def random_automaton_pair(seed: int) -> tuple[WeightedAutomaton, WeightedAutomaton]:

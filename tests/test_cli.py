@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path as FilePath
 
 import jsonschema
@@ -8,7 +11,15 @@ import pytest
 
 from cep.cli import _build_parser, run_cli
 from cep.soundness import check_global_soundness
-from conftest import MALFORMED_LOOP2, fixture_doc, fixture_path, proof_from_doc, set_in
+from conftest import (
+    MALFORMED_LOOP2,
+    bench_inputs,
+    fixture_doc,
+    fixture_path,
+    knot_docs,
+    proof_from_doc,
+    set_in,
+)
 from test_proofgraph import mutation_sites
 
 SCHEMA = json.loads(
@@ -21,6 +32,16 @@ UNSOUND1 = str(fixture_path("unsound1"))
 
 ORDER_ARGS = ["--node", "n0", "--ant", "a", "--con", "c"]
 
+
+# Runs each argv of the JSON list in ``sys.argv[1]`` through the CLI,
+# writing its exit code and its report, each followed by a NUL byte.
+RUN_EACH = """
+import json, sys
+from cep.cli import run_cli
+for argv in json.loads(sys.argv[1]):
+    code = run_cli(argv)
+    sys.stdout.write(f"\\0{code}\\0")
+"""
 
 # A well-formed transition of a one-state automaton.
 DUPLICATE_TRANSITION = {"src": 0, "letter": {"node": "n0"}, "dst": 0, "weight": "1"}
@@ -497,6 +518,46 @@ class TestDeterminism:
         code, report = run_json(capsys, "automata", LOOP2, *ORDER_ARGS)
         assert code == 0
         assert report["report"]["kind"] == "antecedent_full"
+
+    def test_hash_seeds_byte_identical(self, tmp_path):
+        # Each of two hash seeds runs every command in one fresh
+        # interpreter, the two side by side; the reports must not depend on
+        # set or dict iteration order.
+        ring = tmp_path / "ring3_1.json"
+        ring.write_text(json.dumps(bench_inputs().ring_doc(3, 1)))
+        knot = tmp_path / "knot1.json"
+        knot.write_text(json.dumps(knot_docs()[1][1]))
+        argvs = []
+        for path, query in (
+            (LOOP2, ORDER_ARGS),
+            (str(ring), ["--node", "n0", "--ant", "a0", "--con", "c0"]),
+            (str(knot), ["--node", "n0", "--ant", "a0", "--con", "c0"]),
+        ):
+            argvs += [
+                ["order", path, *query, "--json"],
+                ["order", path, *query, "--strict", "--json"],
+                ["restrictions", path, *query, "--json"],
+                ["soundness", path, "--json"],
+                ["traces", path, "--cycles", "left", "--json"],
+            ]
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", RUN_EACH, json.dumps(argvs)],
+                env=dict(
+                    os.environ,
+                    PYTHONPATH=os.pathsep.join(sys.path),
+                    PYTHONHASHSEED=seed,
+                ),
+                stdout=subprocess.PIPE,
+            )
+            for seed in ("1", "2")
+        ]
+        outputs = [run.communicate()[0].split(b"\0") for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert len(outputs[0]) == 2 * len(argvs) + 1
+        for i, argv in enumerate(argvs):
+            first, second = (out[2 * i : 2 * i + 2] for out in outputs)
+            assert first == second, argv
 
     def test_timing_flag_adds_field(self, capsys):
         code, out = run(capsys, "validate", LOOP2, "--timing", "--json")

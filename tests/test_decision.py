@@ -12,7 +12,7 @@ from cep.decision import (
     definition_oracle,
 )
 from cep.proofgraph import parse_proof
-from conftest import bench_inputs, fixture_doc, proof_from_doc
+from conftest import bench_inputs, fixture_doc, knots, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -149,6 +149,16 @@ class TestDecideOrderFixtures:
     def test_unknown_engine_rejected(self, loop2):
         with pytest.raises(ValueError, match="unknown engine"):
             decide_order(loop2, Q, engine="quantum")
+
+    def test_unknown_engine_rejected_before_the_gates(self, loop2):
+        # Knot 1 is gated out (unsound) and loop2 is gated in: both refuse
+        # the engine name before any gate runs.
+        knot = knots()[1][1]
+        query = TracePairQuery(node="n0", ant_value="a0", con_value="c0")
+        assert decide_order(knot, query).status == "NOT_APPLICABLE"
+        for proof, q in ((knot, query), (loop2, Q)):
+            with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+                decide_order(proof, q, engine="bogus")
 
 
 class TestDefinitionOracle:

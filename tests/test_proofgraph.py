@@ -21,7 +21,9 @@ from cep.proofgraph import (
 from conftest import (
     MALFORMED_LOOP2,
     fixture_doc,
+    merged_delta,
     proof_from_doc,
+    random_corpus,
     random_proof,
     set_in,
 )
@@ -208,6 +210,59 @@ class TestRoundTrip:
         again = parse_proof(text)
         assert again == proof
         assert serialize_proof(again) == text
+
+
+class TestTraceGraph:
+    def test_pairs_merge_premise_positions(self):
+        corpus = random_corpus(40, 16_000)
+        # The corpus has a child at two premise positions that carry one
+        # pair at different weights, so the merge rule is exercised.
+        assert any(
+            len(set(ws)) > 1
+            for proof in corpus
+            for ws in _weights_by_occurrence(proof).values()
+        )
+        for proof in corpus:
+            reference = merged_delta(proof)
+            assert proof.edges() == sorted(
+                {(n.id, c) for n in proof.nodes.values() for c in n.children}
+            )
+            for parent in proof.nodes:
+                for child in proof.nodes:
+                    for side in ("left", "right"):
+                        assert proof.pairs(parent, child, side) == reference.get(
+                            (parent, child, side), {}
+                        )
+
+    def test_unknown_node(self, loop2):
+        with pytest.raises(KeyError, match="unknown node id"):
+            loop2.pairs("zz", "n0", "left")
+        with pytest.raises(KeyError, match="unknown node id"):
+            loop2.out_steps("zz", "left")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_walked_proof_equals_fresh_parse(self, seed):
+        proof = random_proof(seed)
+        for side in ("left", "right"):
+            for node_id in proof.nodes:
+                proof.out_steps(node_id, side)
+                terminal_values(proof, node_id, side)
+        for edge in proof.edges():
+            proof.pairs(*edge, "left")
+        fresh = parse_proof(serialize_proof(proof))
+        assert proof == fresh and fresh == proof
+        assert repr(proof) == repr(fresh)
+
+
+def _weights_by_occurrence(proof) -> dict:
+    """The weights of each (parent, child, side, pair), one per premise
+    position of the child that carries the pair."""
+    out: dict = {}
+    for (parent, idx, side), pair_map in proof.delta.items():
+        child = proof.node(parent).children[idx]
+        for pair, weight in pair_map.items():
+            out.setdefault((parent, child, side, pair), []).append(weight)
+    return out
 
 
 class TestValidate:

@@ -23,6 +23,7 @@ from conftest import (
     fixture_doc,
     knots,
     load_fixture,
+    merged_delta,
     proof_from_doc,
     random_corpus,
     random_proof,
@@ -180,18 +181,24 @@ class TestSteps:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_pair_maps(self, side, k):
         # Brute force: every k-tuple of trace pairs on each child edge,
-        # kept when its sources are the vertex's values.
+        # read from delta by premise position, kept when its sources are
+        # the vertex's values.
         for proof in random_corpus(40, 16_000):
+            reference = merged_delta(proof)
             for node_id, node in proof.nodes.items():
                 for values in product(sorted(node.values(side)), repeat=k):
                     expected = []
                     for child in set(node.children):
-                        items = proof.pairs(node_id, child, side).items()
+                        items = reference.get((node_id, child, side), {}).items()
                         for choice in product(items, repeat=k):
                             if [src for (src, _d), _w in choice] == list(values):
                                 target = (child, *(dst for (_s, dst), _w in choice))
                                 expected.append((target, tuple(w for _p, w in choice)))
                     assert steps(proof, side, (node_id, *values)) == sorted(expected)
+
+    def test_unknown_node(self, loop2):
+        with pytest.raises(KeyError, match="unknown node id"):
+            steps(loop2, "left", ("zz", "a"))
 
 
 def reference_cycles(proof, side, k):
