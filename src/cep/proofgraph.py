@@ -76,6 +76,7 @@ class Node:
 
 
 DeltaKey = tuple[str, int, str]  # (parent id, child index, side)
+Step = tuple[str, str, Ordinal]  # (child id, target value, weight)
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,15 @@ class Proof:
         return sorted({(parent, child) for parent, child, _side in self._pair_maps})
 
     @cached_property
-    def _steps(self) -> dict[tuple[str, str], dict[str, list]]:
-        """(side, node) to the steps ``((child, dst), (weight,))`` out of
-        each value of the node that has one, sorted."""
+    def _steps(self) -> dict[tuple[str, str, str], tuple[Step, ...]]:
+        """(side, node, value) to the sorted steps ``(child, dst, weight)``
+        out of it.  Tuples: a list per value, held as long as the proof,
+        made the cyclic collector run half again as often on ring(12, 2)."""
         table: dict = {}
         for (parent, child, side), pair_map in sorted(self._pair_maps.items()):
-            out = table.setdefault((side, parent), {})
             for (src, dst), weight in sorted(pair_map.items()):
-                out.setdefault(src, []).append(((child, dst), (weight,)))
-        return table
+                table.setdefault((side, parent, src), []).append((child, dst, weight))
+        return {key: tuple(moves) for key, moves in table.items()}
 
     def edges(self) -> list[tuple[str, str]]:
         """Distinct (parent, child) node pairs, sorted."""
@@ -163,11 +164,11 @@ class Proof:
         self.node(parent)  # an unknown node is a KeyError
         return self._pair_maps.get((parent, child, side), {})
 
-    def out_steps(self, node_id: str, side: str) -> Mapping[str, list]:
-        """The sorted trace steps ``((child, dst), (weight,))`` out of each
-        ``side`` value of a node; a value with no step is absent."""
+    def out_steps(self, node_id: str, side: str, value: str) -> tuple[Step, ...]:
+        """The sorted trace steps ``(child, dst, weight)`` out of a
+        ``side`` value of a node; none for a terminal value."""
         self.node(node_id)  # an unknown node is a KeyError
-        return self._steps.get((side, node_id), {})
+        return self._steps.get((side, node_id, value), ())
 
     def all_values(self, side: str) -> frozenset[str]:
         out: set[str] = set()
@@ -492,5 +493,4 @@ def terminal_values(proof: Proof, node_id: str, side: str) -> frozenset[str]:
     node = proof.node(node_id)
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    moves = proof.out_steps(node_id, side)
-    return frozenset(v for v in node.values(side) if v not in moves)
+    return frozenset(v for v in node.values(side) if not proof.out_steps(node_id, side, v))

@@ -157,17 +157,18 @@ def steps(proof: Proof, side: str, vertex: tuple) -> list[tuple[tuple, tuple]]:
     """The trace steps out of ``vertex = (node, v1, ..., vk)``, k >= 1,
     sorted: for each child and each choice of trace pairs ``(vi, di)`` on
     that edge, ``((child, d1, ..., dk), (w1, ..., wk))`` with the pairs'
-    weights.  A vertex is terminal when it has no steps.  One value is a
-    lookup in the proof's trace graph, whose own list comes back (callers
-    only read it); more values join the steps of each value on the child."""
-    out_steps = proof.out_steps(vertex[0], side)
-    out = out_steps.get(vertex[1], [])
-    for value in vertex[2:]:
-        moves = out_steps.get(value, ())
+    weights.  A vertex is terminal when it has no steps.  The steps of
+    each value are a lookup in the proof's trace graph; more values join
+    them on the child."""
+    node_id, first, *rest = vertex
+    moves = proof.out_steps(node_id, side, first)
+    out = [((child, dst), (weight,)) for child, dst, weight in moves]
+    for value in rest:
+        moves = proof.out_steps(node_id, side, value)
         out = [
             (target + (dst,), weights + (weight,))
             for target, weights in out
-            for (child, dst), (weight,) in moves
+            for child, dst, weight in moves
             if child == target[0]
         ]
     return out

@@ -238,14 +238,15 @@ class TestTraceGraph:
         with pytest.raises(KeyError, match="unknown node id"):
             loop2.pairs("zz", "n0", "left")
         with pytest.raises(KeyError, match="unknown node id"):
-            loop2.out_steps("zz", "left")
+            loop2.out_steps("zz", "left", "a0")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_walked_proof_equals_fresh_parse(self, seed):
         proof = random_proof(seed)
         for side in ("left", "right"):
-            for node_id in proof.nodes:
-                proof.out_steps(node_id, side)
+            for node_id, node in proof.nodes.items():
+                for value in node.values(side):
+                    proof.out_steps(node_id, side, value)
                 terminal_values(proof, node_id, side)
         for edge in proof.edges():
             proof.pairs(*edge, "left")
