@@ -45,14 +45,7 @@ from .proofgraph import (
     terminal_values,
     validate,
 )
-from .restrictions import (
-    Thresholds,
-    check_all_restrictions,
-    check_balanced,
-    check_dynamic,
-    check_finitely_progressing,
-    compute_thresholds,
-)
+from .restrictions import Thresholds, check_all_restrictions, compute_thresholds
 from .soundness import SoundnessReport, check_global_soundness
 from .traces import (
     Path,

@@ -4,6 +4,9 @@ Three conditions make the ordering decidable through a bounded automaton:
 finite progression weights on every reachable edge pair, strictly positive
 size for every reachable simple trace cycle, and equal size for the two
 components of every reachable simple binary cycle of antecedent traces.
+All three read the (node, value) pairs reachable from the query, so
+:func:`check_all_restrictions` is the one entry: it checks the query and
+computes the reach of each side once, then runs the three checks on it.
 
 The cycle checks go through graph reductions rather than literal cycle
 enumeration: a zero-size simple cycle exists iff the zero-weight subgraph
@@ -28,18 +31,9 @@ from .traces import bfs_tree, reachable_pairs, sccs, steps, tree_path
 __all__ = [
     "Thresholds",
     "RestrictionReport",
-    "InfiniteWeightError",
     "compute_thresholds",
-    "check_finitely_progressing",
-    "check_dynamic",
-    "check_balanced",
     "check_all_restrictions",
 ]
-
-
-class InfiniteWeightError(ValueError):
-    """Raised by the balance check when a relevant weight is not finite;
-    run the finitely-progressing check first."""
 
 
 @dataclass(frozen=True)
@@ -105,22 +99,12 @@ def compute_thresholds(proof: Proof, query) -> Thresholds:
     )
 
 
-def _side_pairs(proof: Proof, query, side: str):
-    start = (
-        (query.node, query.ant_value)
-        if side == LEFT
-        else (query.node, query.con_value)
-    )
-    return reachable_pairs(proof, side, start)
-
-
-def check_finitely_progressing(proof: Proof, query) -> RestrictionReport:
+def _finitely_progressing(proof: Proof, reach) -> RestrictionReport:
     """Every trace pair weight on an edge whose source (node, value) pair
     is reachable from the query must be a finite ordinal."""
-    query.check(proof)
     offenders = []
     for side in (LEFT, RIGHT):
-        reachable = _side_pairs(proof, query, side)
+        reachable = reach[side]
         for parent, child in proof.edges():
             for (src, dst), weight in sorted(proof.pairs(parent, child, side).items()):
                 if (parent, src) in reachable and not weight.is_finite():
@@ -173,15 +157,13 @@ def _zero_subgraph_cycle(proof: Proof, side: str, restrict) -> list | None:
     return None
 
 
-def check_dynamic(proof: Proof, query) -> RestrictionReport:
+def _dynamic(proof: Proof, reach) -> RestrictionReport:
     """No reachable simple trace cycle may have size zero.  Since weights
     are non-negative, a simple cycle has size zero exactly when all of its
     steps do, i.e. when the zero-weight step subgraph has a cycle."""
-    query.check(proof)
     witnesses = []
     for side in (LEFT, RIGHT):
-        reachable = _side_pairs(proof, query, side)
-        cycle = _zero_subgraph_cycle(proof, side, reachable)
+        cycle = _zero_subgraph_cycle(proof, side, reach[side])
         if cycle:
             witnesses.append(
                 {
@@ -195,10 +177,9 @@ def check_dynamic(proof: Proof, query) -> RestrictionReport:
     )
 
 
-def _binary_graph(proof: Proof, query):
+def _binary_graph(proof: Proof, reachable):
     """Edges of the paired antecedent value graph with integer difference
-    weights, over triples whose components are reachable from the query."""
-    reachable = _side_pairs(proof, query, LEFT)
+    weights, over triples whose components are in the reachable pairs."""
     triples = sorted(
         (node_id, v1, v2)
         for node_id, node in proof.nodes.items()
@@ -214,23 +195,18 @@ def _binary_graph(proof: Proof, query):
             b = index.get(target)  # None when a pair leaves the child's values
             if b is None:
                 continue
-            if not (w1.is_finite() and w2.is_finite()):
-                raise InfiniteWeightError(
-                    "infinite weight on a reachable pair; run the "
-                    "finitely-progressing check first"
-                )
             edges[a].append((b, w1.to_int() - w2.to_int()))
     return triples, edges
 
 
-def check_balanced(proof: Proof, query) -> RestrictionReport:
+def _balanced(proof: Proof, reachable) -> RestrictionReport:
     """Every reachable simple binary cycle of antecedent traces must give
     equal size to its two components: within each strongly connected
     component of the paired value graph, difference weights must be a
     potential difference.  An inconsistency yields an unbalanced cycle,
-    trimmed to a simple one."""
-    query.check(proof)
-    triples, edges = _binary_graph(proof, query)
+    trimmed to a simple one.  The weights out of the reachable antecedent
+    pairs must be finite, as the finitely-progressing check ensures."""
+    triples, edges = _binary_graph(proof, reachable)
     adjacency = {v: [w for w, _d in targets] for v, targets in edges.items()}
     witnesses = []
     for comp in sorted(sccs(len(triples), adjacency)):
@@ -313,10 +289,19 @@ def _trim_to_simple(cycle):
 
 
 def check_all_restrictions(proof: Proof, query) -> list[RestrictionReport]:
-    reports = [check_finitely_progressing(proof, query)]
-    reports.append(check_dynamic(proof, query))
+    """The finitely-progressing, dynamic and balanced reports, in that
+    order.  The query is checked once and the pairs reachable from its
+    antecedent and consequent values are computed once per side.  The
+    balanced check needs finite weights, so it is skipped, and reported
+    failed, when the finitely-progressing check fails."""
+    query.check(proof)
+    reach = {
+        LEFT: reachable_pairs(proof, LEFT, (query.node, query.ant_value)),
+        RIGHT: reachable_pairs(proof, RIGHT, (query.node, query.con_value)),
+    }
+    reports = [_finitely_progressing(proof, reach), _dynamic(proof, reach)]
     if reports[0].passed:
-        reports.append(check_balanced(proof, query))
+        reports.append(_balanced(proof, reach[LEFT]))
     else:
         reports.append(
             RestrictionReport(

@@ -10,6 +10,8 @@ import jsonschema
 import pytest
 
 from cep.cli import _build_parser, run_cli
+from cep.proofgraph import serialize_proof
+from cep.restrictions import compute_thresholds
 from cep.soundness import check_global_soundness
 from conftest import (
     MALFORMED_LOOP2,
@@ -479,6 +481,31 @@ class TestAutomataAndContain:
         )
         assert code == 5
         assert report["report"]["status"] == "UNKNOWN_BOUND"
+
+    def test_contain_round_trip_on_corpus(self, capsys, tmp_path, gated_instances):
+        # Containment of the saved automata repeats the containment stage of
+        # `cep order`, wherever the order query reaches it.
+        matched = 0
+        for i, (proof, query) in enumerate(gated_instances[:30]):
+            proof_path = tmp_path / f"p{i}.json"
+            b_path = tmp_path / f"b{i}.json"
+            a_path = tmp_path / f"a{i}.json"
+            proof_path.write_text(serialize_proof(proof))
+            argv = [str(proof_path), "--node", query.node,
+                    "--ant", query.ant_value, "--con", query.con_value]
+            n_bound = str(compute_thresholds(proof, query).n_bound)
+            run_cli(["automata", *argv, "--consequent", "--save", str(b_path)])
+            run_cli(["automata", *argv, "--approx", n_bound, "--save", str(a_path)])
+            capsys.readouterr()
+            for strict in ([], ["--strict"]):
+                code, order = run_json(capsys, "order", *argv, *strict)
+                expected = order["report"]["containment"]
+                if expected is None:
+                    continue  # stopped at groundedness
+                got = run_json(capsys, "contain", str(b_path), str(a_path), *strict)
+                assert (got[0], got[1]["report"]) == (code, expected)
+                matched += 1
+        assert matched
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -11,7 +12,7 @@ from cep.decision import (
     decide_order,
     definition_oracle,
 )
-from cep.proofgraph import parse_proof
+from cep.proofgraph import parse_proof, serialize_proof
 from conftest import bench_inputs, fixture_doc, knots, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
@@ -253,6 +254,22 @@ class TestCoherence:
             assert verdict.status == "NOT_APPLICABLE"
             flipped += 1
         assert flipped > 0
+
+    def test_renaming_keeps_status(self, gated_instances):
+        # The orderings do not depend on names; only the status is compared,
+        # since a witness word can change when letters sort by name.
+        rename = bench_inputs().rename
+        for i, (proof, query) in enumerate(gated_instances[:80]):
+            doc, mapping = rename(json.loads(serialize_proof(proof)), random.Random(i))
+            renamed = proof_from_doc(doc)
+            renamed_query = TracePairQuery(
+                mapping[query.node], mapping[query.ant_value], mapping[query.con_value]
+            )
+            for strict in (False, True):
+                assert (
+                    decide_order(renamed, renamed_query, strict=strict).status
+                    == decide_order(proof, query, strict=strict).status
+                ), (i, strict)
 
 
 def test_ring40_size_guard():

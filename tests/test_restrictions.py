@@ -4,15 +4,8 @@ import pytest
 
 from cep.automata import TracePairQuery
 from cep.ordinal import OMEGA
-from cep.proofgraph import LEFT
-from cep.restrictions import (
-    InfiniteWeightError,
-    check_all_restrictions,
-    check_balanced,
-    check_dynamic,
-    check_finitely_progressing,
-    compute_thresholds,
-)
+from cep.proofgraph import LEFT, RIGHT
+from cep.restrictions import check_all_restrictions, compute_thresholds
 from cep.traces import (
     Path,
     Trace,
@@ -25,12 +18,20 @@ from conftest import (
     all_paths,
     fixture_doc,
     load_fixture,
+    merged_delta,
     proof_from_doc,
+    random_corpus,
     random_proof,
     traces_following,
 )
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
+
+
+def restriction(name, proof, query):
+    """The report named ``name`` of the restriction gate."""
+    (found,) = [r for r in check_all_restrictions(proof, query) if r.name == name]
+    return found
 
 
 def two_value_loop(weight_a="1", weight_b="2"):
@@ -128,12 +129,12 @@ class TestThresholds:
 
 class TestFinitelyProgressing:
     def test_loop2_passes(self, loop2):
-        assert check_finitely_progressing(loop2, Q).passed
+        assert restriction("finitely_progressing", loop2, Q).passed
 
     def test_reachable_omega_fails(self):
         doc = fixture_doc("loop2")
         doc["delta"][0]["pairs"] = [["a", "a", "w"]]
-        report = check_finitely_progressing(proof_from_doc(doc), Q)
+        report = restriction("finitely_progressing", proof_from_doc(doc), Q)
         assert not report.passed
         assert report.witnesses[0]["edge"] == ["n0", "n1"]
         assert report.witnesses[0]["weight"] == "w"
@@ -145,19 +146,49 @@ class TestFinitelyProgressing:
         doc["delta"][0]["pairs"] = [["a", "a", "1"], ["b", "b", "w"]]
         proof = proof_from_doc(doc)
         assert ("n0", "b") not in reachable_pairs(proof, LEFT, ("n0", "a"))
-        assert check_finitely_progressing(proof, Q).passed
+        assert restriction("finitely_progressing", proof, Q).passed
+
+    def test_witness_order(self):
+        # Every reachable infinite pair is a witness, left side first, then
+        # by edge and pair.
+        several = both_sides = 0
+        for proof in random_corpus(60, 17_000, weights=(0, 1, "w")):
+            query = TracePairQuery(proof.root, "a0", "c0")
+            reach = {
+                LEFT: reachable_pairs(proof, LEFT, (proof.root, "a0")),
+                RIGHT: reachable_pairs(proof, RIGHT, (proof.root, "c0")),
+            }
+            expected = sorted(
+                (side == RIGHT, parent, child, src, dst, str(weight))
+                for (parent, child, side), pairs in merged_delta(proof).items()
+                for (src, dst), weight in pairs.items()
+                if (parent, src) in reach[side] and not weight.is_finite()
+            )
+            witnesses = restriction("finitely_progressing", proof, query).witnesses
+            assert witnesses == tuple(
+                {
+                    "side": RIGHT if right else LEFT,
+                    "edge": [parent, child],
+                    "pair": [src, dst],
+                    "weight": weight,
+                }
+                for right, parent, child, src, dst, weight in expected
+            )
+            several += len(expected) > 1
+            both_sides += len({right for right, *_rest in expected}) == 2
+        assert several and both_sides
 
 
 class TestDynamic:
     def test_loop2_passes(self, loop2):
-        assert check_dynamic(loop2, Q).passed
+        assert restriction("dynamic", loop2, Q).passed
 
     def test_flat_cycle_fails(self):
         doc = fixture_doc("loop2")
         for entry in doc["delta"]:
             if entry["from"] == "n0" and entry["side"] == "left":
                 entry["pairs"] = [["a", "a", "0"]]
-        report = check_dynamic(proof_from_doc(doc), Q)
+        report = restriction("dynamic", proof_from_doc(doc), Q)
         assert not report.passed
         witness = report.witnesses[0]
         assert witness["side"] == "left"
@@ -172,7 +203,7 @@ class TestDynamic:
         for e in doc["delta"]:
             if e["from"] == "n1":
                 e["child_index"] = 0
-        assert check_dynamic(proof_from_doc(doc), Q).passed
+        assert restriction("dynamic", proof_from_doc(doc), Q).passed
 
     @pytest.mark.parametrize(
         "seed, witness",
@@ -193,14 +224,14 @@ class TestDynamic:
     )
     def test_pinned_witnesses(self, seed, witness):
         proof = random_proof(seed)
-        report = check_dynamic(proof, TracePairQuery(proof.root, "a0", "c0"))
+        report = restriction("dynamic", proof, TracePairQuery(proof.root, "a0", "c0"))
         assert report.witnesses == (witness,)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_cycle_enumeration(self, seed):
         proof = random_proof(14_000 + seed)
         query = TracePairQuery(proof.root, "a0", "c0")
-        report = check_dynamic(proof, query)
+        report = restriction("dynamic", proof, query)
         zero_cycles = []
         for side, start_value in ((LEFT, "a0"), ("right", "c0")):
             reach = reachable_pairs(proof, side, (proof.root, start_value))
@@ -214,17 +245,18 @@ class TestDynamic:
 
 class TestBalanced:
     def test_loop2_diagonal_passes(self, loop2):
-        assert check_balanced(loop2, Q).passed
+        assert restriction("balanced", loop2, Q).passed
 
     def test_unbalanced_two_values(self):
-        report = check_balanced(proof_from_doc(two_value_loop("1", "2")), Q)
+        report = restriction("balanced", proof_from_doc(two_value_loop("1", "2")), Q)
         assert not report.passed
         witness = report.witnesses[0]
         assert abs(witness["difference"]) == 1
         assert witness["path"][0] == witness["path"][-1]
 
     def test_balanced_two_values(self):
-        assert check_balanced(proof_from_doc(two_value_loop("2", "2")), Q).passed
+        proof = proof_from_doc(two_value_loop("2", "2"))
+        assert restriction("balanced", proof, Q).passed
 
     def test_no_binary_cycles_passes(self):
         doc = fixture_doc("loop2")
@@ -235,13 +267,13 @@ class TestBalanced:
         for e in doc["delta"]:
             if e["from"] == "n1":
                 e["child_index"] = 0
-        assert check_balanced(proof_from_doc(doc), Q).passed
+        assert restriction("balanced", proof_from_doc(doc), Q).passed
 
     def test_witness_from_return_cycle(self):
         # The cycle through the inconsistent edge balances, so the witness
         # comes from the tree path to its target and the return path.
         proof = random_proof(0, max_nodes=6, weights=(0, 1, 2, 3))
-        report = check_balanced(proof, TracePairQuery(proof.root, "a0", "c0"))
+        report = restriction("balanced", proof, TracePairQuery(proof.root, "a0", "c0"))
         assert report.witnesses == (
             {
                 "path": ["n2", "n2", "n2"],
@@ -255,7 +287,7 @@ class TestBalanced:
         # Trimming the repeated vertex keeps the outer part of the cycle,
         # because the inner part balances.
         proof = load_fixture("unbalanced3")
-        report = check_balanced(proof, TracePairQuery("n0", "a0", "c0"))
+        report = restriction("balanced", proof, TracePairQuery("n0", "a0", "c0"))
         assert report.witnesses == (
             {
                 "path": ["n0", "n0", "n0"],
@@ -265,19 +297,13 @@ class TestBalanced:
             },
         )
 
-    def test_infinite_weight_instructs(self):
-        doc = fixture_doc("loop2")
-        doc["delta"][0]["pairs"] = [["a", "a", "w"]]
-        with pytest.raises(InfiniteWeightError, match="finitely-progressing"):
-            check_balanced(proof_from_doc(doc), Q)
-
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_binary_enumeration(self, seed):
         proof = random_proof(15_000 + seed, max_nodes=4)
         query = TracePairQuery(proof.root, "a0", "c0")
-        if not check_finitely_progressing(proof, query).passed:
+        if not restriction("finitely_progressing", proof, query).passed:
             pytest.skip("infinite weights")
-        report = check_balanced(proof, query)
+        report = restriction("balanced", proof, query)
         reach = reachable_pairs(proof, LEFT, (proof.root, "a0"))
         unbalanced = []
         for path, t1, t2 in simple_binary_cycles(proof):
