@@ -22,6 +22,10 @@ The closure finds composites breadth first, in order of witness length,
 and stops after the first length that holds a bad composite: every
 composite with a witness that short is known by then, with the witness
 the full closure would give it, so the least bad witness is the same.
+Relations are numbered when first found.  A composite's successors
+depend only on its endpoint and relation, so each (relation, edge)
+product is made once, for every start node.  Witness paths are read back
+through predecessor keys, only for the bad composites found.
 """
 
 from __future__ import annotations
@@ -96,40 +100,66 @@ def _compose(r1: tuple, r2: tuple) -> tuple:
     return tuple(any_out), tuple(down_out)
 
 
-def _is_bad(src: str, dst: str, rel: tuple) -> bool:
-    return (
-        src == dst
-        and _compose(rel, rel) == rel
-        and not any(row >> i & 1 for i, row in enumerate(rel[1]))
-    )
+def _is_bad(rel: tuple) -> bool:
+    # The diagonal first: it is cheaper than the product.
+    down_loop = any(row >> i & 1 for i, row in enumerate(rel[1]))
+    return not down_loop and _compose(rel, rel) == rel
 
 
-def _closure(proof: Proof):
-    """Path composites of edge relations, each with one witness path, and
-    the least bad witness or ``None``.
-
-    Children are expanded in sorted order, so the witness kept for each
-    (src, dst, relation) key is deterministic.  The witnesses of one level
-    have one length, so their least in tuple order is the least by
-    (length, path).
+def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
+    """The number of path composites of edge relations, and the least bad
+    witness or ``None``.  A composite is keyed ``(src, dst, relation
+    number)`` and keeps the key it was first reached from, which sorted
+    child order makes deterministic.  The witnesses of one level have one
+    length, so their least in tuple order is the least by (length, path).
     """
     base = _edge_relations(proof)
-    paths = {(parent, child, rel): (parent, child) for (parent, child), rel in base.items()}
-    level = list(paths)
+    rels: list[tuple] = []
+    numbers: dict[tuple, int] = {}
+
+    def number(rel: tuple) -> int:
+        if rel not in numbers:
+            numbers[rel] = len(rels)
+            rels.append(rel)
+        return numbers[rel]
+
+    def witness(key: tuple) -> tuple[str, ...]:
+        tail = []
+        while pred[key] is not None:
+            tail.append(key[1])
+            key = pred[key]
+        return key[:2] + tuple(reversed(tail))
+
+    bad_of: dict[int, bool] = {}
+
+    def is_bad(n: int) -> bool:
+        if n not in bad_of:
+            bad_of[n] = _is_bad(rels[n])
+        return bad_of[n]
+
+    # node -> [(child, edge relation, {relation number: product number})]
+    succ: dict[str, list] = {}
+    pred = {(parent, child, number(rel)): None for (parent, child), rel in base.items()}
+    level = list(pred)
     while level:
-        bad = [paths[key] for key in level if _is_bad(*key)]
+        bad = [key for key in level if key[0] == key[1] and is_bad(key[2])]
         if bad:
-            return paths, min(bad)
+            return len(pred), min(map(witness, bad))
         longer = []
         for key in level:
-            src, mid, rel = key
-            for child in sorted(proof.node(mid).children):
-                new = (src, child, _compose(rel, base[(mid, child)]))
-                if new not in paths:
-                    paths[new] = paths[key] + (child,)
+            src, mid, n = key
+            if mid not in succ:
+                children = sorted(set(proof.node(mid).children))
+                succ[mid] = [(child, base[(mid, child)], {}) for child in children]
+            for child, rel, products in succ[mid]:
+                if n not in products:
+                    products[n] = number(_compose(rels[n], rel))
+                new = (src, child, products[n])
+                if new not in pred:
+                    pred[new] = key
                     longer.append(new)
         level = longer
-    return paths, None
+    return len(pred), None
 
 
 def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
@@ -144,12 +174,12 @@ def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
 def check_global_soundness(proof: Proof) -> SoundnessReport:
     """Verdict plus, when unsound, a lasso (prefix path, cycle path) on
     which no left-hand trace progresses infinitely often."""
-    paths, cycle = _closure(proof)
-    log.debug("composition closure: %d path relations", len(paths))
+    count, cycle = _closure(proof)
+    log.debug("composition closure: %d path relations", count)
     if cycle is None:
-        return SoundnessReport(sound=True, witness=None, relations_explored=len(paths))
+        return SoundnessReport(sound=True, witness=None, relations_explored=count)
     return SoundnessReport(
         sound=False,
         witness=Lasso(prefix=_shortest_root_path(proof, cycle[0]), cycle=cycle),
-        relations_explored=len(paths),
+        relations_explored=count,
     )

@@ -103,23 +103,24 @@ def ambig1() -> Proof:
     return load_fixture("ambig1")
 
 
-ANT_NAMES = ("a0", "a1")
-CON_NAMES = ("c0", "c1")
-
-
 def random_proof_doc(
     rng: random.Random,
     max_nodes: int = 5,
+    max_values: int = 2,
     weights: tuple[int, ...] = (0, 1, 2),
     injective: bool = False,
     pair_prob: float = 0.55,
 ) -> dict:
     """A random annotated pre-proof document.
 
-    The root always carries the query values a0 and c0.  Children are
-    drawn freely, so back-edges and shared subtrees occur; at least one
-    node is axiomatic so maximal right traces can terminate.
+    Each node carries some of the antecedent values a0 .. a{max_values-1}
+    and the consequent values c0 .. c{max_values-1}; the root always
+    carries the query values a0 and c0.  Children are drawn freely, so
+    back-edges and shared subtrees occur; at least one node is axiomatic
+    so maximal right traces can terminate.
     """
+    ant_names = [f"a{i}" for i in range(max_values)]
+    con_names = [f"c{i}" for i in range(max_values)]
     n = rng.randint(2, max_nodes)
     ids = [f"n{i}" for i in range(n)]
     children: dict[str, list[str]] = {}
@@ -133,8 +134,8 @@ def random_proof_doc(
     ant_of: dict[str, list[str]] = {}
     con_of: dict[str, list[str]] = {}
     for node_id in ids:
-        ants = [v for v in ANT_NAMES if rng.random() < 0.8]
-        cons = [v for v in CON_NAMES if rng.random() < 0.8]
+        ants = [v for v in ant_names if rng.random() < 0.8]
+        cons = [v for v in con_names if rng.random() < 0.8]
         if node_id == ids[0]:
             ants = sorted(set(ants) | {"a0"})
             cons = sorted(set(cons) | {"c0"})

@@ -15,7 +15,7 @@ from cep.soundness import (
     _shortest_root_path,
     check_global_soundness,
 )
-from conftest import fixture_doc, knots, proof_from_doc, random_proof
+from conftest import bench_inputs, fixture_doc, knots, proof_from_doc, random_proof
 
 # The reference form of sloped relations that the bitmask coding of
 # cep.soundness is checked against: a frozenset of (source value, target
@@ -87,6 +87,18 @@ def reference_soundness(proof):
     return False, Lasso(_shortest_root_path(proof, cycle[0]), cycle), len(paths)
 
 
+def ring_proof(k: int, w: int, flat: bool = False):
+    """``ring(k, w)`` of the benchmark; with ``flat``, every left weight is
+    0, so no left trace progresses around the ring."""
+    doc = bench_inputs().ring_doc(k, w)
+    if flat:
+        for entry in doc["delta"]:
+            if entry["side"] == "left":
+                for pair in entry["pairs"]:
+                    pair[2] = "0"
+    return proof_from_doc(doc)
+
+
 def decode(proof, coded) -> frozenset:
     """The frozenset form of a relation coded by ``_edge_relations``."""
     names = sorted(
@@ -135,7 +147,7 @@ class TestRelationAlgebra:
                 got = _compose(rel, coded[(child, grandchild)])
                 assert decode(proof, got) == ref
                 bad = compose(ref, ref) == ref and not has_progress_loop(ref)
-                assert _is_bad(parent, parent, got) == bad
+                assert _is_bad(got) == bad
 
 
 class TestVerdicts:
@@ -191,6 +203,31 @@ class TestVerdicts:
             assert report.relations_explored == relations
         else:
             assert report.relations_explored <= relations
+
+    @pytest.mark.parametrize("seed", range(10_000, 10_040))
+    def test_matches_reference_closure_more_values(self, seed):
+        proof = random_proof(seed, max_nodes=6, max_values=3 + seed % 2)
+        sound, lasso, relations = reference_soundness(proof)
+        report = check_global_soundness(proof)
+        assert (report.sound, report.witness) == (sound, lasso)
+        if sound:
+            assert report.relations_explored == relations
+        else:
+            assert report.relations_explored <= relations
+
+    # Long witnesses, and products shared by thousands of composites.
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("k, w, composites", [(12, 2, 233), (40, 2, 2_459), (20, 1, 629)])
+    def test_ring_matches_reference_closure(self, k, w, composites, flat):
+        proof = ring_proof(k, w, flat)
+        report = check_global_soundness(proof)
+        assert (report.sound, report.witness, report.relations_explored) == (
+            reference_soundness(proof)
+        )
+        if flat:
+            assert len(report.witness.cycle) == k + 1
+        else:
+            assert report.relations_explored == composites
 
     @pytest.mark.parametrize("index", range(7))
     def test_knot_matches_reference_closure(self, index):
