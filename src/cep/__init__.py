@@ -48,8 +48,6 @@ from .proofgraph import (
 from .restrictions import Thresholds, check_all_restrictions, compute_thresholds
 from .soundness import SoundnessReport, check_global_soundness
 from .traces import (
-    Path,
-    Trace,
     classify_right_trace,
     enumerate_right_maximal,
     follows,

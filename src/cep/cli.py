@@ -31,7 +31,12 @@ from .decision import ORDER_STATUS, check_bounds, decide_order, definition_oracl
 from .proofgraph import ProofParseError, check_structure, load_proof, validate
 from .restrictions import check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
-from .traces import enumerate_right_maximal, simple_binary_cycles, simple_cycles
+from .traces import (
+    enumerate_right_maximal,
+    simple_binary_cycles,
+    simple_cycles,
+    walk_json,
+)
 
 __all__ = ["main", "run_cli"]
 
@@ -108,19 +113,10 @@ def _cmd_traces(args) -> tuple[int, dict, list[str]]:
     proof = load_proof(args.file)
     if args.cycles:
         if args.cycles == "binary":
-            found = [
-                {
-                    "path": list(p.nodes),
-                    "trace": list(t1.values),
-                    "trace_other": list(t2.values),
-                }
-                for p, t1, t2 in simple_binary_cycles(proof)
-            ]
+            cycles = simple_binary_cycles(proof)
         else:
-            found = [
-                {"path": list(p.nodes), "trace": list(t.values)}
-                for p, t in simple_cycles(proof, args.cycles)
-            ]
+            cycles = simple_cycles(proof, args.cycles)
+        found = [walk_json(cycle) for cycle in cycles]
         payload = {"cycles": found, "kind": args.cycles}
         human = [f"simple cycles ({args.cycles}): {len(found)}"] + [
             f"  {' '.join(c['path'])} / {' '.join(c['trace'])}" for c in found
@@ -129,8 +125,8 @@ def _cmd_traces(args) -> tuple[int, dict, list[str]]:
     if not args.node or not args.value:
         raise ValueError("traces requires --node and --value (or --cycles)")
     found = [
-        {"path": list(p.nodes), "trace": list(t.values)}
-        for p, t in enumerate_right_maximal(proof, args.node, args.value, args.max_len)
+        walk_json(walk)
+        for walk in enumerate_right_maximal(proof, args.node, args.value, args.max_len)
     ]
     payload = {
         "node": args.node,

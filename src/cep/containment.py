@@ -99,14 +99,31 @@ def oracle_compare(
     strict: bool,
     length_bound: int,
 ) -> ContainmentVerdict:
-    """Bounded reference check: walk the domain of ``b`` word by word and
-    compare exact language values.  Returns the length-lex least
-    counterexample, or UNKNOWN_BOUND when none exists up to the bound."""
+    """Bounded reference check: walk the domain of ``b`` word by word, in
+    the length-lex order of :func:`cep.traces.bfs` over ``(word, b-states)``
+    vertices, and compare exact language values.  Returns the length-lex
+    least counterexample, or UNKNOWN_BOUND when none exists up to the
+    bound."""
     if length_bound < 0:
         raise ValueError("length bound must be non-negative")
-    params = {"length_bound": length_bound}
+    letters_of: dict[State, list[Letter]] = {}
+    for (src, letter) in b.table().transitions:
+        letters_of.setdefault(src, []).append(letter)
 
-    def check(word):
+    def successors(vertex):
+        """The one-letter extensions of a word on which ``b`` has a run,
+        letters in order; none at the length bound."""
+        word, b_states = vertex
+        if len(word) == length_bound:
+            return
+        letters = {letter for state in b_states for letter in letters_of.get(state, ())}
+        for letter in sorted(letters):
+            nb = frozenset(dst for state in b_states for dst in b.targets(state, letter))
+            if nb:
+                yield (word + (letter,), nb), letter
+
+    params = {"length_bound": length_bound}
+    for word, _b_states in bfs([((), frozenset([b.initial]))], successors, {}):
         bad, lhs, rhs = _true_violation(b, a, word, strict)
         if bad:
             return ContainmentVerdict(
@@ -114,43 +131,10 @@ def oracle_compare(
                 strict=strict,
                 engine="oracle",
                 parameters=params,
-                counterexample=tuple(word),
+                counterexample=word,
                 lhs_value=lhs,
                 rhs_value=rhs,
             )
-        return None
-
-    found = check(())
-    if found:
-        return found
-    letters_of: dict[State, list[Letter]] = {}
-    for (src, letter) in b.table().transitions:
-        letters_of.setdefault(src, []).append(letter)
-    frontier = [((), {b.initial})]
-    for _length in range(length_bound):
-        nxt = []
-        for word, b_states in frontier:
-            letters = sorted(
-                {
-                    letter
-                    for state in b_states
-                    for letter in letters_of.get(state, ())
-                }
-            )
-            for letter in letters:
-                nb = {
-                    dst
-                    for state in b_states
-                    for dst in b.targets(state, letter)
-                }
-                if not nb:
-                    continue
-                extended = word + (letter,)
-                found = check(extended)
-                if found:
-                    return found
-                nxt.append((extended, nb))
-        frontier = nxt
     return ContainmentVerdict(
         status="UNKNOWN_BOUND",
         strict=strict,

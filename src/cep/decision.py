@@ -25,16 +25,15 @@ from .automata import (
     is_grounded,
 )
 from .containment import ContainmentVerdict, decide_containment, oracle_compare
-from .proofgraph import Proof, check_structure, validate
+from .proofgraph import LEFT, RIGHT, Proof, check_structure, validate
 from .restrictions import Thresholds, check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
 from .traces import (
-    Path,
-    Trace,
     classify_right_trace,
     enumerate_right_maximal,
     prog_points,
     traces_on_path,
+    walk_json,
 )
 
 __all__ = [
@@ -243,19 +242,19 @@ def definition_oracle(
     check_structure(proof)
     candidates = sorted(
         enumerate_right_maximal(proof, query.node, query.con_value, max_path_len),
-        key=lambda pt: (len(pt[0]), pt[0].nodes, pt[1].values),
+        key=lambda walk: (len(walk), tuple(zip(*walk))),
     )
-    for path, rtrace in candidates:
-        r_size = prog_points(proof, path, rtrace)
-        classification = classify_right_trace(proof, path, rtrace)
-        final_node = proof.node(path.nodes[-1])
-        final_value = rtrace.values[-1]
-        n = len(rtrace)
+    for walk in candidates:
+        r_size = prog_points(proof, RIGHT, walk)
+        classification = classify_right_trace(proof, walk)
+        final_id, final_value = walk[-1]
+        final_node = proof.node(final_id)
+        n = len(walk)
+        path_nodes = tuple(node_id for node_id, _v in walk)
         matched = False
-        for values in traces_on_path(proof, path.nodes, "left", query.ant_value):
-            k = len(values)
-            ltrace = Trace(side="left", values=values)
-            l_size = prog_points(proof, Path(path.nodes[:k]), ltrace)
+        for left in traces_on_path(proof, path_nodes, LEFT, query.ant_value):
+            k = len(left)
+            l_size = prog_points(proof, LEFT, left)
             if strict:
                 if not (r_size < l_size):
                     continue
@@ -267,7 +266,7 @@ def definition_oracle(
             if (
                 classification.partially_maximal
                 and k == n
-                and (values[-1], final_value) in final_node.equates
+                and (left[-1][1], final_value) in final_node.equates
             ):
                 matched = True
                 break
@@ -275,10 +274,6 @@ def definition_oracle(
             return OracleOutcome(
                 max_path_len=max_path_len,
                 strict=strict,
-                counterexample={
-                    "path": list(path.nodes),
-                    "trace": list(rtrace.values),
-                    "size": str(r_size),
-                },
+                counterexample={**walk_json(walk), "size": str(r_size)},
             )
     return OracleOutcome(max_path_len=max_path_len, strict=strict)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .ordinal import ZERO, Ordinal
 from .proofgraph import LEFT, RIGHT, Proof
-from .traces import bfs_tree, reachable_pairs, sccs, steps, tree_path
+from .traces import bfs_tree, reachable_pairs, sccs, steps, tree_path, walk_json
 
 __all__ = [
     "Thresholds",
@@ -165,13 +165,7 @@ def _dynamic(proof: Proof, reach) -> RestrictionReport:
     for side in (LEFT, RIGHT):
         cycle = _zero_subgraph_cycle(proof, side, reach[side])
         if cycle:
-            witnesses.append(
-                {
-                    "side": side,
-                    "path": [node for node, _v in cycle],
-                    "trace": [v for _node, v in cycle],
-                }
-            )
+            witnesses.append({"side": side, **walk_json(cycle)})
     return RestrictionReport(
         name="dynamic", passed=not witnesses, witnesses=tuple(witnesses)
     )
@@ -228,16 +222,8 @@ def _balanced(proof: Proof, reachable) -> RestrictionReport:
             continue
         cycle = _unbalanced_cycle(inside, tree, start, *bad)
         trimmed = _trim_to_simple(cycle)
-        path = [triples[i] for i, _d in trimmed]
-        total = _cycle_total(trimmed)
-        witnesses.append(
-            {
-                "path": [t[0] for t in path],
-                "trace": [t[1] for t in path],
-                "trace_other": [t[2] for t in path],
-                "difference": total,
-            }
-        )
+        walk = [triples[i] for i, _d in trimmed]
+        witnesses.append({**walk_json(walk), "difference": _cycle_total(trimmed)})
     return RestrictionReport(
         name="balanced", passed=not witnesses, witnesses=tuple(witnesses)
     )

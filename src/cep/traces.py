@@ -1,18 +1,18 @@
-"""Paths, traces and the follows relation; reverse-sum trace sizes;
-maximal-trace classification; cycle and reachability analysis over
-(node, value) pairs.  Every walk in the trace graph goes through
-:func:`steps`, the step relation of a node and a tuple of trace values,
-which reads the graph that :class:`cep.proofgraph.Proof` derives once
-from its trace pair annotations.
+"""Walks in the trace graph and the follows relation; reverse-sum trace
+sizes; maximal-trace classification; cycle and reachability analysis
+over (node, value) pairs.  A *walk* is a tuple of ``(node, v1[, v2])``
+vertices: a path of the proof together with the one or two traces that
+follow it, value by value.  Every walk goes through :func:`steps`, the
+step relation of a node and a tuple of trace values, which reads the
+graph that :class:`cep.proofgraph.Proof` derives once from its trace
+pair annotations, and every report renders a walk with
+:func:`walk_json`.
 The graph primitives shared with the automata, the restriction checks and
 soundness live here too: :func:`closure` (every vertex reachable from a
 set of starts), :func:`bfs` (the one parent-pointer breadth-first
 search, streamed), :func:`bfs_tree` (its whole tree), :func:`tree_path`
 (the witness path to a vertex of the tree) and :func:`sccs` (iterative
 Tarjan).
-
-A trace may be shorter than the path it follows: it is always aligned to
-the path's first ``len(trace)`` nodes.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from .ordinal import ZERO, Ordinal, ord_add
 from .proofgraph import LEFT, RIGHT, SIDES, Proof
 
 __all__ = [
-    "Path",
-    "Trace",
     "TraceClassification",
-    "is_path",
     "follows",
     "prog_points",
     "classify_right_trace",
+    "walk_json",
     "enumerate_right_maximal",
     "simple_cycles",
     "simple_binary_cycles",
@@ -47,33 +45,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Path:
-    nodes: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.nodes:
-            raise ValueError("a path has at least one node")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class Trace:
-    side: str
-    values: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if not self.values:
-            raise ValueError("a trace has at least one value")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class TraceClassification:
     maximal: bool
     positive: bool
@@ -82,68 +53,56 @@ class TraceClassification:
     grounded: bool
 
 
-def is_path(proof: Proof, path: Path) -> bool:
-    """True when every consecutive node pair is a parent/child edge."""
-    for a, b in zip(path.nodes, path.nodes[1:]):
+def _walk_weights(proof: Proof, side: str, walk: tuple) -> list[tuple] | None:
+    """The weights of each step of ``walk``, or None when some step is not
+    a trace step.  Raises ``ValueError`` when the nodes are not a path of
+    the proof, or else when a value is not a ``side`` value of its node."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not walk:
+        raise ValueError("a walk has at least one vertex")
+    nodes = tuple(vertex[0] for vertex in walk)
+    for a, b in zip(nodes, nodes[1:]):
         if b not in proof.node(a).children:
-            return False
-    return True
+            raise ValueError(f"{nodes} is not a path of the proof")
+    for node_id, *values in walk:
+        for value in values:
+            if value not in proof.node(node_id).values(side):
+                raise ValueError(
+                    f"value {value!r} is not a {side} value of node {node_id!r}"
+                )
+    weights = []
+    for a, b in zip(walk, walk[1:]):
+        weight = next((w for target, w in steps(proof, side, a) if target == b), None)
+        if weight is None:
+            return None
+        weights.append(weight)
+    return weights
 
 
-def _check_alignment(proof: Proof, path: Path, trace: Trace):
-    if len(trace) > len(path):
-        raise ValueError(
-            f"trace of length {len(trace)} cannot follow a path of length {len(path)}"
-        )
-    if not is_path(proof, path):
-        raise ValueError(f"{path.nodes} is not a path of the proof")
-    for i, value in enumerate(trace.values):
-        node = proof.node(path.nodes[i])
-        if value not in node.values(trace.side):
-            raise ValueError(
-                f"value {value!r} is not a {trace.side} value of node {node.id!r}"
-            )
+def follows(proof: Proof, side: str, walk: tuple) -> bool:
+    """True iff every consecutive vertex pair of the walk is a trace step."""
+    return _walk_weights(proof, side, walk) is not None
 
 
-def follows(proof: Proof, path: Path, trace: Trace) -> bool:
-    """True iff every consecutive value pair is a trace pair along the
-    aligned edges of the path."""
-    _check_alignment(proof, path, trace)
-    for i in range(len(trace) - 1):
-        pairs = proof.pairs(path.nodes[i], path.nodes[i + 1], trace.side)
-        if (trace.values[i], trace.values[i + 1]) not in pairs:
-            return False
-    return True
-
-
-def _step_weights(proof: Proof, path: Path, trace: Trace) -> list[Ordinal]:
-    return [
-        proof.pairs(path.nodes[i], path.nodes[i + 1], trace.side)[
-            (trace.values[i], trace.values[i + 1])
-        ]
-        for i in range(len(trace) - 1)
-    ]
-
-
-def prog_points(proof: Proof, path: Path, trace: Trace) -> Ordinal:
-    """The size of a trace along a path: the *reverse* ordinal sum of its
-    step weights (last step first; zero for one-value traces)."""
-    if not follows(proof, path, trace):
+def prog_points(proof: Proof, side: str, walk: tuple) -> Ordinal:
+    """The size of a one-value walk: the *reverse* ordinal sum of its step
+    weights (last step first; zero for a one-vertex walk)."""
+    weights = _walk_weights(proof, side, walk)
+    if weights is None:
         raise ValueError("trace does not follow the path")
     total = ZERO
-    for weight in _step_weights(proof, path, trace):
+    for (weight,) in weights:
         total = ord_add(weight, total)
     return total
 
 
-def classify_right_trace(proof: Proof, path: Path, trace: Trace) -> TraceClassification:
-    if trace.side != RIGHT:
-        raise ValueError("classification applies to right-hand traces")
-    if not follows(proof, path, trace):
+def classify_right_trace(proof: Proof, walk: tuple) -> TraceClassification:
+    if _walk_weights(proof, RIGHT, walk) is None:
         raise ValueError("trace does not follow the path")
-    final_node = proof.node(path.nodes[len(trace) - 1])
-    final_value = trace.values[-1]
-    terminal = not steps(proof, RIGHT, (final_node.id, final_value))
+    final_id, final_value = walk[-1]
+    final_node = proof.node(final_id)
+    terminal = not steps(proof, RIGHT, walk[-1])
     return TraceClassification(
         maximal=terminal,
         positive=final_value not in final_node.excluded,
@@ -151,6 +110,13 @@ def classify_right_trace(proof: Proof, path: Path, trace: Trace) -> TraceClassif
         fully_maximal=terminal and not final_node.axiomatic,
         grounded=final_value in final_node.ground,
     )
+
+
+def walk_json(walk: tuple) -> dict:
+    """A walk as JSON lists: its ``path`` of nodes, its ``trace`` of first
+    values and, on a binary walk, its ``trace_other`` of second values."""
+    columns = map(list, zip(*walk))
+    return dict(zip(("path", "trace", "trace_other"), columns))
 
 
 def steps(proof: Proof, side: str, vertex: tuple) -> list[tuple[tuple, tuple]]:
@@ -174,12 +140,17 @@ def steps(proof: Proof, side: str, vertex: tuple) -> list[tuple[tuple, tuple]]:
     return out
 
 
+def _walk_order(walk: tuple) -> tuple:
+    """The sort key of a walk: its path, then its traces in turn."""
+    return tuple(zip(*walk))
+
+
 def enumerate_right_maximal(
     proof: Proof, node_id: str, value: str, max_path_len: int
-) -> list[tuple[Path, Trace]]:
+) -> list[tuple]:
     """All positive maximal right-hand traces with the given first value,
-    following paths rooted at the node of length at most ``max_path_len``,
-    in lexicographic (path, trace) order."""
+    as walks rooted at the node of at most ``max_path_len`` vertices, in
+    lexicographic (path, trace) order."""
     if max_path_len < 1:
         raise ValueError("path length bound must be positive")
     node = proof.node(node_id)
@@ -187,26 +158,25 @@ def enumerate_right_maximal(
         raise ValueError(
             f"value {value!r} is not a consequent value of node {node_id!r}"
         )
-    results: list[tuple[Path, Trace]] = []
-    stack = [((node_id,), (value,))]
+    results = []
+    stack = [((node_id, value),)]
     while stack:
-        nodes, values = stack.pop()
-        nexts = steps(proof, RIGHT, (nodes[-1], values[-1]))
+        walk = stack.pop()
+        nexts = steps(proof, RIGHT, walk[-1])
         if not nexts:
-            if values[-1] not in proof.node(nodes[-1]).excluded:
-                results.append(
-                    (Path(nodes), Trace(side=RIGHT, values=values))
-                )
+            last_id, last_value = walk[-1]
+            if last_value not in proof.node(last_id).excluded:
+                results.append(walk)
             continue
-        if len(nodes) >= max_path_len:
+        if len(walk) >= max_path_len:
             continue
-        for (child, dst), _w in nexts:
-            stack.append((nodes + (child,), values + (dst,)))
-    results.sort(key=lambda pt: (pt[0].nodes, pt[1].values))
+        for vertex, _w in nexts:
+            stack.append(walk + (vertex,))
+    results.sort(key=_walk_order)
     return results
 
 
-def simple_cycles(proof: Proof, side: str) -> list[tuple[Path, Trace]]:
+def simple_cycles(proof: Proof, side: str) -> list[tuple]:
     """All simple trace cycles on one side, rooted at each (node, value)
     pair they visit.  A cycle is simple when no (node, value) pair repeats
     other than the root at both ends."""
@@ -215,7 +185,7 @@ def simple_cycles(proof: Proof, side: str) -> list[tuple[Path, Trace]]:
     return _simple_cycles(proof, side, 1)
 
 
-def simple_binary_cycles(proof: Proof) -> list[tuple[Path, Trace, Trace]]:
+def simple_binary_cycles(proof: Proof) -> list[tuple]:
     """All simple binary cycles of left-hand trace pairs.  Repetition is
     judged on (node, value, value) triples, so the component traces need
     not be simple cycles themselves."""
@@ -224,7 +194,7 @@ def simple_binary_cycles(proof: Proof) -> list[tuple[Path, Trace, Trace]]:
 
 def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
     """Every simple cycle of ``(node, v1, ..., vk)`` vertices, rooted at
-    each vertex it visits, as ``(Path, Trace, ..., Trace)`` sorted by the
+    each vertex it visits, as a walk that ends at its root, sorted by the
     path and then the traces in turn.  Each cycle is searched once, from
     its least vertex, and rotated to every other root."""
     roots = (
@@ -242,32 +212,29 @@ def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
                     walks += (walk[i:] + walk[: i + 1] for i in range(len(walk)))
                 elif vertex > root and vertex not in on_walk:
                     stack.append((walk + (vertex,), on_walk | {vertex}))
-    return [
-        (Path(nodes), *(Trace(side=side, values=values) for values in traces))
-        for nodes, *traces in sorted(tuple(zip(*walk)) for walk in walks)
-    ]
+    walks.sort(key=_walk_order)
+    return walks
 
 
 def traces_on_path(
     proof: Proof, path_nodes: tuple[str, ...], side: str, first_value: str
-) -> list[tuple[str, ...]]:
-    """Every trace of every length 1..len(path) following the path from
-    ``first_value``, in lexicographic order; none when the first node
-    does not carry that value."""
+) -> list[tuple]:
+    """Every walk of every length 1..len(path) along a prefix of the path
+    from ``first_value``, sorted by path and then trace; none when the
+    first node does not carry that value."""
     if first_value not in proof.node(path_nodes[0]).values(side):
         return []
-    out: list[tuple[str, ...]] = []
-    stack = [(first_value,)]
+    out = []
+    stack = [((path_nodes[0], first_value),)]
     while stack:
-        values = stack.pop()
-        out.append(values)
-        i = len(values)
-        if i < len(path_nodes):
-            pairs = proof.pairs(path_nodes[i - 1], path_nodes[i], side)
-            for src, dst in pairs:
-                if src == values[-1]:
-                    stack.append(values + (dst,))
-    out.sort()
+        walk = stack.pop()
+        out.append(walk)
+        if len(walk) < len(path_nodes):
+            child = path_nodes[len(walk)]
+            for vertex, _w in steps(proof, side, walk[-1]):
+                if vertex[0] == child:
+                    stack.append(walk + (vertex,))
+    out.sort(key=_walk_order)
     return out
 
 

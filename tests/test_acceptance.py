@@ -25,10 +25,10 @@ from cep.cli import run_cli
 from cep.containment import decide_containment, oracle_compare
 from cep.decision import decide_order, definition_oracle
 from cep.ordinal import OMEGA, ONE, BOT, Ordinal, TropicalWeight, ord_add, trop_oplus, trop_otimes
-from cep.proofgraph import LEFT
+from cep.proofgraph import LEFT, RIGHT
 from cep.restrictions import compute_thresholds
 from cep.soundness import check_global_soundness
-from cep.traces import Path, Trace, enumerate_right_maximal, prog_points
+from cep.traces import enumerate_right_maximal, prog_points
 from conftest import all_paths, fixture_path, random_proof, traces_following
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
@@ -133,8 +133,8 @@ def test_criterion_3_automata_faithfulness(plain_corpus):
         consequent = build_consequent(proof, query)
         antecedent = build_antecedent_full(proof, query)
         enumerated = {
-            (p.nodes, t.values): prog_points(proof, p, t)
-            for p, t in enumerate_right_maximal(proof, query.node, query.con_value, 8)
+            tuple(zip(*walk)): prog_points(proof, RIGHT, walk)
+            for walk in enumerate_right_maximal(proof, query.node, query.con_value, 8)
         }
         for path_nodes in all_paths(proof, proof.root, 8):
             words_checked += 1
@@ -187,11 +187,7 @@ def test_criterion_3_automata_faithfulness(plain_corpus):
             traces = traces_following(proof, path_nodes, LEFT, first_value="a0")
             for values in traces:
                 prog = TropicalWeight(
-                    prog_points(
-                        proof,
-                        Path(path_nodes[: len(values)]),
-                        Trace(side=LEFT, values=values),
-                    )
+                    prog_points(proof, LEFT, tuple(zip(path_nodes, values)))
                 )
                 if values not in prefix_runs:
                     violations += 1
@@ -313,11 +309,7 @@ def test_criterion_6_size_difference_bound(gated_instances):
         bound = t.cycle_threshold * t.max_step.to_int()
         for path_nodes in all_paths(proof, proof.root, 10):
             progs = [
-                prog_points(
-                    proof,
-                    Path(path_nodes[: len(v)]),
-                    Trace(side=LEFT, values=v),
-                ).to_int()
+                prog_points(proof, LEFT, tuple(zip(path_nodes, v))).to_int()
                 for v in traces_following(proof, path_nodes, LEFT, first_value="a0")
                 if len(v) == len(path_nodes)
             ]

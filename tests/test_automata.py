@@ -21,7 +21,7 @@ from cep.automata import (
     run_values,
 )
 from cep.ordinal import BOT, ZERO, TropicalWeight
-from cep.traces import Path, Trace, enumerate_right_maximal, prog_points
+from cep.traces import enumerate_right_maximal, prog_points
 from conftest import (
     all_paths,
     fixture_doc,
@@ -476,11 +476,7 @@ class TestFaithfulness:
                 # for sink-free (full-length) runs.
                 for values in traces:
                     assert values in prefixes
-                    prog = prog_points(
-                        proof,
-                        Path(path_nodes[: len(values)]),
-                        Trace(side="left", values=values),
-                    )
+                    prog = prog_points(proof, "left", tuple(zip(path_nodes, values)))
                     run_vals = [v for _r, v in prefixes[values] if not v.is_bot]
                     assert any(TropicalWeight(prog) <= v for v in run_vals)
                     for run, value in prefixes[values]:
@@ -501,11 +497,12 @@ class TestFaithfulness:
             # Direction 1: every positive maximal trace yields an accepting
             # run of equal value over its path word (possibly extended by
             # the pair letter when the trace ends non-ground at an axiom).
-            for path, trace in enumerated:
-                prog = prog_points(proof, path, trace)
-                node = proof.node(path.nodes[-1])
-                value = trace.values[-1]
-                word = word_letters(path.nodes)
+            for walk in enumerated:
+                prog = prog_points(proof, "right", walk)
+                path_nodes, values = zip(*walk)
+                node = proof.node(path_nodes[-1])
+                value = values[-1]
+                word = word_letters(path_nodes)
                 if node.axiomatic and value not in node.ground:
                     word = word + [
                         Letter.value_pair(
@@ -520,14 +517,14 @@ class TestFaithfulness:
                     for r, v in accepting
                     if v == TropicalWeight(prog)
                     and [s.value for s in r[1:] if s.kind == "node_value"]
-                    == list(trace.values)
+                    == list(values)
                 ]
-                assert match, (path, trace)
+                assert match, walk
             # Direction 2: every accepting run over a path word (with an
             # optional pair-letter suffix) projects to an enumerated trace.
             expected = {
-                (p.nodes, t.values): prog_points(proof, p, t)
-                for p, t in enumerated
+                tuple(zip(*walk)): prog_points(proof, "right", walk)
+                for walk in enumerated
             }
             for path_nodes in all_paths(proof, proof.root, 6):
                 words = [word_letters(path_nodes)]

@@ -23,6 +23,7 @@ from conftest import (
     set_in,
 )
 from test_proofgraph import mutation_sites
+from test_restrictions import two_value_loop
 
 SCHEMA = json.loads(
     (FilePath(__file__).parent.parent / "src" / "cep" / "report_schema.json").read_text()
@@ -591,3 +592,39 @@ class TestDeterminism:
         report = json.loads(out)
         assert "timing_ms" in report
         jsonschema.validate(report, SCHEMA)
+
+
+def walk_report_argvs(tmp_path) -> dict[str, list[str]]:
+    """Commands whose reports list walks as ``path``/``trace`` lists: the
+    trace listings and the oracle counterexample on loop2, and the
+    restriction witnesses of a zero-size cycle and an unbalanced one."""
+    flat = fixture_doc("loop2")
+    for entry in flat["delta"]:
+        if entry["from"] == "n0" and entry["side"] == "left":
+            entry["pairs"] = [["a", "a", "0"]]
+    flat_path = tmp_path / "flat.json"
+    flat_path.write_text(json.dumps(flat))
+    unbalanced_path = tmp_path / "unbalanced.json"
+    unbalanced_path.write_text(json.dumps(two_value_loop("1", "2")))
+    argvs = {
+        "traces_maximal": ["traces", LOOP2, "--node", "n0", "--value", "c", "--max-len", "5"],
+        "oracle_strict": ["oracle", LOOP2, *ORDER_ARGS, "--strict"],
+        "restrictions_dynamic": ["restrictions", str(flat_path), *ORDER_ARGS],
+        "restrictions_balanced": ["restrictions", str(unbalanced_path), *ORDER_ARGS],
+    }
+    for kind in ("left", "right", "binary"):
+        argvs[f"traces_cycles_{kind}"] = ["traces", LOOP2, "--cycles", kind]
+    return argvs
+
+
+class TestWalkReportGoldens:
+    # Compared as text, so the key order of every walk is pinned too.
+    GOLDEN = json.loads((FilePath(__file__).parent / "goldens" / "walk_reports.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_report_matches_golden(self, capsys, tmp_path, case):
+        _code, report = run_json(capsys, *walk_report_argvs(tmp_path)[case])
+        assert json.dumps(report["report"]) == json.dumps(self.GOLDEN[case])
+
+    def test_every_case_has_a_golden(self, tmp_path):
+        assert sorted(walk_report_argvs(tmp_path)) == sorted(self.GOLDEN)

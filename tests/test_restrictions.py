@@ -6,14 +6,7 @@ from cep.automata import TracePairQuery
 from cep.ordinal import OMEGA
 from cep.proofgraph import LEFT, RIGHT
 from cep.restrictions import check_all_restrictions, compute_thresholds
-from cep.traces import (
-    Path,
-    Trace,
-    prog_points,
-    reachable_pairs,
-    simple_binary_cycles,
-    simple_cycles,
-)
+from cep.traces import prog_points, reachable_pairs, simple_binary_cycles, simple_cycles
 from conftest import (
     all_paths,
     fixture_doc,
@@ -235,11 +228,11 @@ class TestDynamic:
         zero_cycles = []
         for side, start_value in ((LEFT, "a0"), ("right", "c0")):
             reach = reachable_pairs(proof, side, (proof.root, start_value))
-            for path, trace in simple_cycles(proof, side):
-                if (path.nodes[0], trace.values[0]) not in reach:
+            for walk in simple_cycles(proof, side):
+                if walk[0] not in reach:
                     continue
-                if prog_points(proof, path, trace).is_zero():
-                    zero_cycles.append((side, path, trace))
+                if prog_points(proof, side, walk).is_zero():
+                    zero_cycles.append((side, walk))
         assert report.passed == (not zero_cycles)
 
 
@@ -306,15 +299,14 @@ class TestBalanced:
         report = restriction("balanced", proof, query)
         reach = reachable_pairs(proof, LEFT, (proof.root, "a0"))
         unbalanced = []
-        for path, t1, t2 in simple_binary_cycles(proof):
-            if (path.nodes[0], t1.values[0]) not in reach:
+        for walk in simple_binary_cycles(proof):
+            node_id, v1, v2 = walk[0]
+            if (node_id, v1) not in reach or (node_id, v2) not in reach:
                 continue
-            if (path.nodes[0], t2.values[0]) not in reach:
-                continue
-            p1 = prog_points(proof, path, t1)
-            p2 = prog_points(proof, path, t2)
+            p1 = prog_points(proof, LEFT, tuple((n, a) for n, a, _b in walk))
+            p2 = prog_points(proof, LEFT, tuple((n, b) for n, _a, b in walk))
             if p1 != p2:
-                unbalanced.append((path, t1, t2))
+                unbalanced.append(walk)
         assert report.passed == (not unbalanced)
 
 
@@ -329,11 +321,7 @@ class TestLemmaBoundedDifference:
             bound = t.cycle_threshold * t.max_step.to_int()
             for path_nodes in all_paths(proof, proof.root, 10):
                 progs = [
-                    prog_points(
-                        proof,
-                        Path(path_nodes[: len(values)]),
-                        Trace(side="left", values=values),
-                    ).to_int()
+                    prog_points(proof, LEFT, tuple(zip(path_nodes, values))).to_int()
                     for values in traces_following(
                         proof, path_nodes, LEFT, first_value=query.ant_value
                     )

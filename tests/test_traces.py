@@ -7,8 +7,6 @@ import pytest
 from cep.ordinal import OMEGA, ZERO, Ordinal, ord_add
 from cep.proofgraph import validate
 from cep.traces import (
-    Path,
-    Trace,
     classify_right_trace,
     enumerate_right_maximal,
     follows,
@@ -16,6 +14,7 @@ from cep.traces import (
     simple_binary_cycles,
     simple_cycles,
     steps,
+    walk_json,
 )
 from conftest import (
     FIXTURES,
@@ -31,43 +30,61 @@ from conftest import (
 )
 
 
-def P(*nodes):
-    return Path(tuple(nodes))
-
-
-def T(side, *values):
-    return Trace(side=side, values=tuple(values))
+def W(nodes, *traces):
+    """The walk along ``nodes`` of one or two traces, given as strings of
+    space-separated names."""
+    return tuple(zip(nodes.split(), *(trace.split() for trace in traces)))
 
 
 class TestFollows:
     def test_right_trace(self, loop2):
-        assert follows(loop2, P("n0", "n1", "n2"), T("right", "c", "c", "c"))
+        assert follows(loop2, "right", W("n0 n1 n2", "c c c"))
 
     def test_short_left_trace(self, loop2):
-        assert follows(loop2, P("n0", "n1"), T("left", "a"))
+        assert follows(loop2, "left", W("n0", "a"))
 
     def test_namespace_error(self, loop2):
         with pytest.raises(ValueError, match="not a right value"):
-            follows(loop2, P("n0", "n1"), T("right", "c", "a"))
+            follows(loop2, "right", W("n0 n1", "c a"))
 
     def test_not_a_path(self, loop2):
+        # The path is checked before the values.
         with pytest.raises(ValueError, match="not a path"):
-            follows(loop2, P("n0", "n2"), T("right", "c"))
+            follows(loop2, "right", W("n0 n2", "c a"))
 
-    def test_trace_longer_than_path(self, loop2):
-        with pytest.raises(ValueError, match="cannot follow"):
-            follows(loop2, P("n0"), T("right", "c", "c"))
+    @pytest.mark.parametrize(
+        "side, walk, message",
+        [("up", W("n0", "a"), "side must be"), ("left", (), "at least one vertex")],
+    )
+    def test_malformed_walk(self, loop2, side, walk, message):
+        with pytest.raises(ValueError, match=message):
+            follows(loop2, side, walk)
+
+    def test_binary_walk(self, loop2):
+        assert follows(loop2, "left", W("n0 n1 n0", "a a a", "a a a"))
 
     def test_missing_pair(self):
         doc = fixture_doc("loop2")
         doc["delta"] = [e for e in doc["delta"] if e["from"] != "n0"]
         proof = proof_from_doc(doc)
-        assert not follows(proof, P("n0", "n1"), T("right", "c", "c"))
+        assert not follows(proof, "right", W("n0 n1", "c c"))
+
+
+class TestWalkJson:
+    def test_unary(self):
+        assert walk_json(W("n0 n1", "c d")) == {"path": ["n0", "n1"], "trace": ["c", "d"]}
+
+    def test_binary(self):
+        assert walk_json(W("n0 n1", "a b", "b a")) == {
+            "path": ["n0", "n1"],
+            "trace": ["a", "b"],
+            "trace_other": ["b", "a"],
+        }
 
 
 class TestProgPoints:
     def test_length_one_is_zero(self, loop2):
-        assert prog_points(loop2, P("n0", "n1"), T("left", "a")) == ZERO
+        assert prog_points(loop2, "left", W("n0", "a")) == ZERO
 
     def test_reverse_sum_absorbs(self):
         # Step weights [w, 1] in path order; the reverse sum 1 + w is w,
@@ -81,15 +98,11 @@ class TestProgPoints:
             if entry["from"] == "n1" and entry["child_index"] == 1:
                 entry["pairs"] = [["c", "c", "1"]]
         proof = proof_from_doc(doc)
-        got = prog_points(proof, P("n0", "n1", "n2"), T("right", "c", "c", "c"))
+        got = prog_points(proof, "right", W("n0 n1 n2", "c c c"))
         assert got == OMEGA
 
     def test_loop2_unrolled(self, loop2):
-        got = prog_points(
-            loop2,
-            P("n0", "n1", "n0", "n1", "n2"),
-            T("right", "c", "c", "c", "c", "c"),
-        )
+        got = prog_points(loop2, "right", W("n0 n1 n0 n1 n2", "c c c c c"))
         assert got == Ordinal.from_int(2)
 
     def test_concat_decomposition(self):
@@ -101,19 +114,13 @@ class TestProgPoints:
             for path_nodes in all_paths(proof, proof.root, 5):
                 for side in ("left", "right"):
                     for values in traces_following(proof, path_nodes, side):
-                        n = len(values)
-                        if n < 2:
+                        walk = tuple(zip(path_nodes, values))
+                        if len(walk) < 2:
                             continue
-                        whole = prog_points(
-                            proof, P(*path_nodes[:n]), T(side, *values)
-                        )
-                        for i in range(n):
-                            first = prog_points(
-                                proof, P(*path_nodes[: i + 1]), T(side, *values[: i + 1])
-                            )
-                            second = prog_points(
-                                proof, P(*path_nodes[i:n]), T(side, *values[i:])
-                            )
+                        whole = prog_points(proof, side, walk)
+                        for i in range(len(walk)):
+                            first = prog_points(proof, side, walk[: i + 1])
+                            second = prog_points(proof, side, walk[i:])
                             assert whole == ord_add(second, first)
                             checked += 1
         assert checked > 100
@@ -121,45 +128,36 @@ class TestProgPoints:
 
 class TestClassify:
     def test_grounded_axiom(self, loop2):
-        cls = classify_right_trace(
-            loop2, P("n0", "n1", "n2"), T("right", "c", "c", "c")
-        )
+        cls = classify_right_trace(loop2, W("n0 n1 n2", "c c c"))
         assert cls.maximal and cls.positive
         assert cls.partially_maximal and cls.grounded
         assert not cls.fully_maximal
 
     def test_not_maximal(self, loop2):
-        cls = classify_right_trace(loop2, P("n0", "n1"), T("right", "c", "c"))
+        cls = classify_right_trace(loop2, W("n0 n1", "c c"))
         assert not cls.maximal
 
     def test_excluded_is_negative(self):
         doc = fixture_doc("loop2")
         doc["nodes"][2]["excluded"] = ["c"]
         proof = proof_from_doc(doc)
-        cls = classify_right_trace(
-            proof, P("n0", "n1", "n2"), T("right", "c", "c", "c")
-        )
+        cls = classify_right_trace(proof, W("n0 n1 n2", "c c c"))
         assert cls.maximal and not cls.positive
 
     def test_wrong_side(self, loop2):
-        with pytest.raises(ValueError, match="right-hand"):
-            classify_right_trace(loop2, P("n0"), T("left", "a"))
+        # A walk of antecedent values is not a right-hand trace.
+        with pytest.raises(ValueError, match="not a right value"):
+            classify_right_trace(loop2, W("n0", "a"))
 
 
 class TestEnumerateRightMaximal:
     def test_loop2_len3(self, loop2):
         got = enumerate_right_maximal(loop2, "n0", "c", 3)
-        assert got == [(P("n0", "n1", "n2"), T("right", "c", "c", "c"))]
+        assert got == [W("n0 n1 n2", "c c c")]
 
     def test_loop2_len5(self, loop2):
         got = enumerate_right_maximal(loop2, "n0", "c", 5)
-        assert got == [
-            (
-                P("n0", "n1", "n0", "n1", "n2"),
-                T("right", "c", "c", "c", "c", "c"),
-            ),
-            (P("n0", "n1", "n2"), T("right", "c", "c", "c")),
-        ]
+        assert got == [W("n0 n1 n0 n1 n2", "c c c c c"), W("n0 n1 n2", "c c c")]
 
     def test_antecedent_query_errors(self, unsound1):
         with pytest.raises(ValueError, match="not a consequent value"):
@@ -170,9 +168,8 @@ class TestEnumerateRightMaximal:
         proof = random_proof(4_000 + seed)
         root = proof.root
         for value in sorted(proof.node(root).con_values):
-            for path, trace in enumerate_right_maximal(proof, root, value, 6):
-                assert len(path) == len(trace)
-                cls = classify_right_trace(proof, path, trace)
+            for walk in enumerate_right_maximal(proof, root, value, 6):
+                cls = classify_right_trace(proof, walk)
                 assert cls.maximal and cls.positive
 
 
@@ -219,10 +216,7 @@ def reference_cycles(proof, side, k):
                     walks.append(walk + (vertex,))
                 elif vertex not in on_walk:
                     stack.append((walk + (vertex,), on_walk | {vertex}))
-    return [
-        (Path(nodes), *(Trace(side=side, values=values) for values in traces))
-        for nodes, *traces in sorted(tuple(zip(*walk)) for walk in walks)
-    ]
+    return sorted(walks, key=lambda walk: tuple(zip(*walk)))
 
 
 def assert_matches_reference(proof, binary):
@@ -235,19 +229,12 @@ def assert_matches_reference(proof, binary):
 class TestSimpleCycles:
     def test_loop2_left(self, loop2):
         got = simple_cycles(loop2, "left")
-        assert got == [
-            (P("n0", "n1", "n0"), T("left", "a", "a", "a")),
-            (P("n1", "n0", "n1"), T("left", "a", "a", "a")),
-        ]
+        assert got == [W("n0 n1 n0", "a a a"), W("n1 n0 n1", "a a a")]
 
     def test_loop2_binary_diagonal(self, loop2):
         got = simple_binary_cycles(loop2)
-        assert (
-            P("n0", "n1", "n0"),
-            T("left", "a", "a", "a"),
-            T("left", "a", "a", "a"),
-        ) in got
-        assert all(t1 == t2 for _p, t1, t2 in got)
+        assert W("n0 n1 n0", "a a a", "a a a") in got
+        assert all(v1 == v2 for walk in got for _node, v1, v2 in walk)
 
     def test_acyclic_graph(self):
         doc = fixture_doc("loop2")
@@ -268,16 +255,15 @@ class TestSimpleCycles:
 
     def test_self_loop(self, unsound1):
         got = simple_cycles(unsound1, "left")
-        assert got == [(P("n0", "n0"), T("left", "a", "a"))]
+        assert got == [W("n0 n0", "a a")]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_no_internal_repeats(self, seed):
         proof = random_proof(5_000 + seed)
-        for path, trace in simple_cycles(proof, "left"):
-            pairs = list(zip(path.nodes, trace.values))
-            assert pairs[0] == pairs[-1]
-            assert len(set(pairs[:-1])) == len(pairs) - 1
-            assert follows(proof, path, trace)
+        for walk in simple_cycles(proof, "left"):
+            assert walk[0] == walk[-1]
+            assert len(set(walk[:-1])) == len(walk) - 1
+            assert follows(proof, "left", walk)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_on_random_proofs(self, seed):
