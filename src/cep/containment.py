@@ -30,6 +30,26 @@ language values as soon as it is reached, on its word read back off the
 search tree with :func:`cep.traces.tree_path`; a violation that fails
 revalidation makes the outcome UNKNOWN_SATURATED instead of a guess.
 
+Configurations are pruned by an antichain (De Wulf, Doyen, Henzinger and
+Raskin, CAV 2006; Chatterjee, Doyen and Henzinger, ACM TOCL 2010).  In
+the frame where the maximum ``b`` weight is 0, ``X = (Xb, Xa)``
+dominates ``Y`` when every ``(s, w)`` of ``Yb`` has an ``(s, w')`` in
+``Xb`` with ``w' >= w`` and every ``(s, w)`` of ``Xa`` has an
+``(s, w')`` in ``Ya`` with ``w' >= w``: ``X`` is at least as close to a
+violation, and violates whenever ``Y`` does.  A newly reached
+configuration that a recorded one dominates is neither recorded nor
+expanded.  This keeps a closed, violation-free exploration a sound
+VERIFIED: a max-plus letter step keeps domination up to the shift that
+renormalisation applies, a shift does not change whether a configuration
+violates, and every clamp moves a configuration up the order, so along
+any word that truly violates some recorded configuration dominates a
+shift of the exact one and violates too.  It keeps the least witness:
+the dominating configuration was reached first, by a word length-lex
+smaller or equal, so up to the first clamp the first violation found is
+still reached by the least violating word.  A step counts as clamped
+only when it is kept, so while no kept step has clamped every recorded
+configuration is exact.
+
 The window cap is deepened: the exploration runs at caps 1, 2, 4, ...,
 the last one cut to the ceiling ``lag_cap``, and stops at the first run
 whose outcome a larger cap cannot change.  VERIFIED is final at any cap.
@@ -39,7 +59,12 @@ witness is the length-lex least.  A clamp merges configurations, so a
 REFUTED after one may carry a longer or later witness that hides the
 least one; it is run again at twice the cap, as is UNKNOWN_SATURATED.
 The run at the ceiling stands as it is, and its ``clamped: true`` says
-when its witness may not be the least."""
+when its witness may not be the least.
+
+Each closed exploration logs one DEBUG record, ``lagset closure``, whose
+arguments are the kept configurations, whether a kept step clamped,
+whether a violation failed revalidation, and the steps dropped as
+dominated."""
 
 from __future__ import annotations
 
@@ -208,6 +233,17 @@ def decide_containment(
     )
 
 
+def _dominates(x, yb: dict[State, int], ya: dict[State, int]) -> bool:
+    """Whether the recorded configuration ``x`` is at least as close to a
+    violation as ``(yb, ya)``, both in the frame where the ``b`` maximum
+    is 0: ``x`` covers every ``b`` entry of ``y`` with a weight as high,
+    and ``y`` covers every ``a`` entry of ``x`` with a weight as high."""
+    xb, xa = x
+    return all(
+        state in xb and xb[state] >= rel for state, rel in yb.items()
+    ) and all(state in ya and ya[state] >= rel for state, rel in xa.items())
+
+
 def _explore(
     b: WeightedAutomaton,
     a: WeightedAutomaton,
@@ -218,10 +254,12 @@ def _explore(
     """One breadth-first exploration of the joint weight configurations
     at one window cap, in length-lexicographic order of their words.  A
     configuration is a pair of frozensets of ``(state, weight)``, one for
-    ``b`` and one for ``a``.  Returns ``(status, word, lhs, rhs,
-    clamped)``, where ``clamped`` says whether any clamp happened before
-    the outcome was reached."""
+    ``b`` and one for ``a``.  A new configuration that a recorded one
+    dominates is dropped.  Returns ``(status, word, lhs, rhs,
+    clamped)``, where ``clamped`` says whether any kept step clamped
+    before the outcome was reached."""
     clamped = False
+    dropped = 0
 
     def violates(config) -> bool:
         bw, aw = config
@@ -236,35 +274,45 @@ def _explore(
     def successors(config):
         """Each letter's step with renormalisation against the b-side
         maximum and window clamping, skipping letters on which the b side
-        dies.  ``clamped`` is set before the step is yielded, so it covers
-        every step taken, also one reaching a known configuration."""
-        nonlocal clamped
+        dies and new configurations that a recorded one dominates.
+        ``clamped`` is set before a step is yielded, so it covers every
+        step taken, also one reaching a known configuration, and no
+        dropped one."""
+        nonlocal clamped, dropped
         bw, aw = config
         for letter in letters:
             nb = _step(b, "b", bw, letter)
             if not nb:
                 continue
             b_max = max(nb.values())
-            out_b = []
+            step_clamped = False
             for state, rel in nb.items():
                 rel -= b_max
                 if rel < -lag_cap:
                     rel = -lag_cap
-                    clamped = True
-                out_b.append((state, rel))
-            out_a = []
+                    step_clamped = True
+                nb[state] = rel
+            na = {}
             for state, rel in _step(a, "a", aw, letter).items():
                 rel -= b_max
                 if rel > lag_cap:
                     rel = lag_cap
-                    clamped = True
+                    step_clamped = True
                 elif rel < -lag_cap:
-                    clamped = True
+                    step_clamped = True
                     continue
-                out_a.append((state, rel))
-            yield (frozenset(out_b), frozenset(out_a)), letter
+                na[state] = rel
+            step = (frozenset(nb.items()), frozenset(na.items()))
+            if step not in tree:
+                if any(_dominates(x, nb, na) for x in recorded):
+                    dropped += 1
+                    continue
+                recorded.append((nb, na))
+            clamped = clamped or step_clamped
+            yield step, letter
 
     tree: dict = {}
+    recorded = [({b.initial: 0}, {a.initial: 0})]
     unverified_violation = False
     initial = (frozenset([(b.initial, 0)]), frozenset([(a.initial, 0)]))
     for config in bfs([initial], successors, tree):
@@ -277,10 +325,12 @@ def _explore(
         unverified_violation = True
 
     log.debug(
-        "lagset closure: %d configurations, clamped=%s, unverified=%s",
+        "lagset closure: %d configurations, clamped=%s, unverified=%s, "
+        "%d dominated",
         len(tree),
         clamped,
         unverified_violation,
+        dropped,
     )
     status = "UNKNOWN_SATURATED" if unverified_violation else "VERIFIED"
     return status, None, None, None, clamped

@@ -72,7 +72,7 @@ class TestExitCodes:
         code, report = run_json(capsys, "order", LOOP2, *ORDER_ARGS)
         assert code == 0
         parameters = report["report"]["containment"]["parameters"]
-        assert parameters == {"lag_cap": 64, "caps": [1], "clamped": True}
+        assert parameters == {"lag_cap": 64, "caps": [1], "clamped": False}
 
     @pytest.mark.parametrize(
         "flat_cycle, extra",
