@@ -257,16 +257,18 @@ class WeightedAutomaton:
         return frozenset(closure(table.finals, lambda s: pred.get(s, ())))
 
 
+def _pair_letters(proof: Proof):
+    """``(node, letter)`` for the pair letter (equated antecedents of t, t)
+    of each consequent value t of each axiomatic node."""
+    for node_id, node in proof.nodes.items():
+        if node.axiomatic:
+            for con in node.con_values:
+                yield node_id, Letter.value_pair(proof.equated_ants(node_id, con), con)
+
+
 def _letter_alphabet(proof: Proof) -> frozenset[Letter]:
     letters = {Letter.node_ref(n) for n in proof.nodes}
-    for node_id, node in proof.nodes.items():
-        if not node.axiomatic:
-            continue
-        for con in node.con_values:
-            letters.add(
-                Letter.value_pair(proof.equated_ants(node_id, con), con)
-            )
-    return frozenset(letters)
+    return frozenset(letters.union(letter for _n, letter in _pair_letters(proof)))
 
 
 def _add(transitions: dict, src: State, letter: Letter, dst: State, weight: Ordinal):
@@ -299,14 +301,10 @@ def build_consequent(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
 
     transitions: dict = {}
     _trace_transitions(proof, query, RIGHT, transitions)
-    for node_id, node in proof.nodes.items():
-        if not node.axiomatic:
-            continue
-        for value in node.con_values:
-            if value in node.ground or value in node.excluded:
-                continue
-            letter = Letter.value_pair(proof.equated_ants(node_id, value), value)
-            _add(transitions, State.node_value(node_id, value), letter, bot, ZERO)
+    for node_id, letter in _pair_letters(proof):
+        node = proof.node(node_id)
+        if letter.con not in node.ground and letter.con not in node.excluded:
+            _add(transitions, State.node_value(node_id, letter.con), letter, bot, ZERO)
 
     return WeightedAutomaton(
         kind="consequent",
@@ -340,47 +338,43 @@ def _trace_transitions(proof: Proof, query: TracePairQuery, side: str, transitio
             )
 
 
-def _antecedent_core(proof: Proof, query: TracePairQuery) -> dict:
-    """The left trace transitions and the axiom edges into bottom."""
+def _antecedent(proof: Proof, query: TracePairQuery, sink, **fields):
+    """The antecedent-trace automaton whose node/value states, on each
+    child letter, also lead into ``sink(child)``, where a stopped
+    left-hand trace is absorbed: the left trace transitions, the axiom
+    edges into bottom and the sink edges.  Every state but the start is
+    final."""
+    query.check(proof)
+    ant_values = proof.all_values(LEFT)
+    start, bot = State.start(), State.bot()
+    states = {State.node_value(n, v) for n in proof.nodes for v in ant_values}
     transitions: dict = {}
     _trace_transitions(proof, query, LEFT, transitions)
-    bot = State.bot()
-    for node_id, node in proof.nodes.items():
-        if not node.axiomatic:
-            continue
-        for con in node.con_values:
-            equated = proof.equated_ants(node_id, con)
-            letter = Letter.value_pair(equated, con)
-            for ant in equated:
-                _add(transitions, State.node_value(node_id, ant), letter, bot, ZERO)
-    return transitions
+    for node_id, letter in _pair_letters(proof):
+        for ant in letter.ants:
+            _add(transitions, State.node_value(node_id, ant), letter, bot, ZERO)
+    for parent, child in proof.edges():
+        for value in ant_values:
+            source = State.node_value(parent, value)
+            _add(transitions, source, Letter.node_ref(child), sink(child), ZERO)
+    return WeightedAutomaton(
+        states=frozenset(states | {start, bot}),
+        initial=start,
+        finals=frozenset(states | {bot}),
+        transitions=transitions,
+        alphabet=_letter_alphabet(proof),
+        **fields,
+    )
 
 
 def build_antecedent_full(proof: Proof, query: TracePairQuery) -> WeightedAutomaton:
     """The full antecedent-trace automaton, with a single unbounded sink
     that absorbs every word extension once a left-hand trace stops."""
-    query.check(proof)
-    ant_values = proof.all_values(LEFT)
-    start, bot, top = State.start(), State.bot(), State.top()
-    states = {State.node_value(n, v) for n in proof.nodes for v in ant_values}
-    states |= {start, bot, top}
-
-    transitions = _antecedent_core(proof, query)
-    for parent, child in proof.edges():
-        for value in ant_values:
-            source = State.node_value(parent, value)
-            _add(transitions, source, Letter.node_ref(child), top, ZERO)
+    top = State.top()
+    auto = _antecedent(proof, query, lambda _child: top, kind="antecedent_full")
     for node_id in proof.nodes:
-        _add(transitions, top, Letter.node_ref(node_id), top, ZERO)
-
-    return WeightedAutomaton(
-        kind="antecedent_full",
-        states=frozenset(states),
-        initial=start,
-        finals=frozenset(states - {start}),
-        transitions=transitions,
-        alphabet=_letter_alphabet(proof),
-    )
+        _add(auto.transitions, top, Letter.node_ref(node_id), top, ZERO)
+    return replace(auto, states=auto.states | {top}, finals=auto.finals | {top})
 
 
 def build_antecedent_approx(
@@ -398,32 +392,9 @@ def build_antecedent_approx(
     out in full, from the same rule."""
     if n < 1:
         raise ValueError("approximation level must be at least 1")
-    query.check(proof)
-    ant_values = proof.all_values(LEFT)
-    start, bot = State.start(), State.bot()
-    states = {State.node_value(nd, v) for nd in proof.nodes for v in ant_values}
-    states |= {start, bot}
-
-    transitions = _antecedent_core(proof, query)
-    for parent, child in proof.edges():
-        for value in ant_values:
-            _add(
-                transitions,
-                State.node_value(parent, value),
-                Letter.node_ref(child),
-                State.chain(child, 1),
-                ZERO,
-            )
-
-    return WeightedAutomaton(
-        kind="antecedent_approx",
-        states=frozenset(states),
-        initial=start,
-        finals=frozenset(states - {start}),
-        transitions=transitions,
-        alphabet=_letter_alphabet(proof),
-        approx_level=n,
-        chains=n,
+    return _antecedent(
+        proof, query, lambda child: State.chain(child, 1),
+        kind="antecedent_approx", approx_level=n, chains=n
     )
 
 
@@ -524,31 +495,19 @@ def ambiguity(auto: WeightedAutomaton) -> str:
                 yield from product(dsts, *others)
 
     # The IDA pattern needs p and q on cycles: start only from those.
-    order = list(out)
-    at = {s: i for i, s in enumerate(order)}
-    graph = {
-        at[s]: [at[d] for dsts in out[s].values() for d in dsts if d in at]
-        for s in order
-    }
-    cyclic = [
-        order[i]
-        for comp in sccs(len(order), graph)
-        if len(comp) > 1 or comp[0] in graph[comp[0]]
-        for i in comp
-    ]
+    graph = {s: [d for dsts in out[s].values() for d in dsts if d in out] for s in out}
+    cyclic = [s for comp in sccs(graph) for s in comp if len(comp) > 1 or s in graph[s]]
     starts = [(p, p, q) for p in cyclic for q in cyclic if p != q]
-    triples = list(closure(starts, step))
-    index = {t: i for i, t in enumerate(triples)}
-    edges = {i: [index[nxt] for nxt in step(t)] for i, t in enumerate(triples)}
+    edges = {t: list(step(t)) for t in closure(starts, step)}
     back = [
-        (i, index[(p, p, q)])
-        for (p, q, r), i in index.items()
-        if p != q and q == r and (p, p, q) in index
+        ((p, q, q), (p, p, q))
+        for p, q, r in edges
+        if p != q and q == r and (p, p, q) in edges
     ]
-    for i, j in back:
-        edges[i].append(j)
-    comp_of = {i: c for c, comp in enumerate(sccs(len(triples), edges)) for i in comp}
-    if any(comp_of[i] == comp_of[j] for i, j in back):
+    for t, u in back:
+        edges[t].append(u)
+    comp_of = {t: c for c, comp in enumerate(sccs(edges)) for t in comp}
+    if any(comp_of[t] == comp_of[u] for t, u in back):
         return "infinite"
 
     forward = closure([(auto.initial, auto.initial)], step)

@@ -26,8 +26,8 @@ from .automata import (
     build_consequent,
     export_dot,
 )
-from .containment import decide_containment, oracle_compare
-from .decision import ORDER_STATUS, check_bounds, decide_order, definition_oracle
+from .containment import check_bounds, decide_containment, oracle_compare
+from .decision import ORDER_STATUS, decide_order, definition_oracle
 from .proofgraph import ProofParseError, check_structure, load_proof, validate
 from .restrictions import check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness

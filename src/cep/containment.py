@@ -79,6 +79,7 @@ log = logging.getLogger("cep.containment")
 
 __all__ = [
     "ContainmentVerdict",
+    "check_bounds",
     "oracle_compare",
     "decide_containment",
 ]
@@ -108,6 +109,16 @@ class ContainmentVerdict:
         }
 
 
+def check_bounds(lag_cap: int = 1, length_bound: int = 0) -> None:
+    """Raise ``ValueError`` unless the lag-set ceiling is positive and the
+    word oracle's length bound is non-negative; a bound left out is at its
+    least valid value."""
+    if lag_cap < 1:
+        raise ValueError("lag cap must be positive")
+    if length_bound < 0:
+        raise ValueError("length bound must be non-negative")
+
+
 def _true_violation(
     b: WeightedAutomaton, a: WeightedAutomaton, word, strict: bool
 ) -> tuple[bool, TropicalWeight, TropicalWeight]:
@@ -129,8 +140,7 @@ def oracle_compare(
     vertices, and compare exact language values.  Returns the length-lex
     least counterexample, or UNKNOWN_BOUND when none exists up to the
     bound."""
-    if length_bound < 0:
-        raise ValueError("length bound must be non-negative")
+    check_bounds(length_bound=length_bound)
     letters_of: dict[State, list[Letter]] = {}
     for (src, letter) in b.table().transitions:
         letters_of.setdefault(src, []).append(letter)
@@ -210,8 +220,7 @@ def decide_containment(
     ceiling ``lag_cap``.  A run's VERIFIED is final, and so is a REFUTED
     reached before any clamp; anything else is run again at twice the
     cap, and the run at the ceiling stands as it is."""
-    if lag_cap < 1:
-        raise ValueError("lag cap must be positive")
+    check_bounds(lag_cap=lag_cap)
     letters = sorted({letter for _src, letter in b.table().transitions})
     caps: list[int] = []
     cap = 1

@@ -24,7 +24,8 @@ from .automata import (
     build_consequent,
     is_grounded,
 )
-from .containment import ContainmentVerdict, decide_containment, oracle_compare
+from .containment import ContainmentVerdict, check_bounds, decide_containment
+from .containment import oracle_compare
 from .proofgraph import LEFT, RIGHT, Proof, check_structure, validate
 from .restrictions import Thresholds, check_all_restrictions, compute_thresholds
 from .soundness import check_global_soundness
@@ -41,7 +42,6 @@ __all__ = [
     "OrderVerdict",
     "OracleOutcome",
     "applicability_gates",
-    "check_bounds",
     "decide_order",
     "definition_oracle",
 ]
@@ -137,15 +137,6 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
                 }
             )
     return reasons or None
-
-
-def check_bounds(lag_cap: int, oracle_len: int) -> None:
-    """Raise ``ValueError`` unless the lag-set ceiling is positive and the
-    word oracle's length bound is non-negative, whichever engine runs."""
-    if lag_cap < 1:
-        raise ValueError("lag cap must be positive")
-    if oracle_len < 0:
-        raise ValueError("length bound must be non-negative")
 
 
 def decide_order(

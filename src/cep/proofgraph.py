@@ -488,9 +488,14 @@ def check_structure(proof: Proof) -> None:
         )
 
 
+def check_side(side: str) -> None:
+    """Raise ``ValueError`` unless ``side`` is 'left' or 'right'."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def terminal_values(proof: Proof, node_id: str, side: str) -> frozenset[str]:
     """Values of a node with no outgoing trace pair on any child edge."""
     node = proof.node(node_id)
-    if side not in SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    check_side(side)
     return frozenset(v for v in node.values(side) if not proof.out_steps(node_id, side, v))

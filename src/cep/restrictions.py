@@ -171,26 +171,21 @@ def _dynamic(proof: Proof, reach) -> RestrictionReport:
     )
 
 
-def _binary_graph(proof: Proof, reachable):
+def _binary_graph(proof: Proof, reachable) -> dict:
     """Edges of the paired antecedent value graph with integer difference
     weights, over triples whose components are in the reachable pairs."""
-    triples = sorted(
-        (node_id, v1, v2)
+    edges: dict = {
+        (node_id, v1, v2): []
         for node_id, node in proof.nodes.items()
         for v1 in node.ant_values
         for v2 in node.ant_values
         if (node_id, v1) in reachable and (node_id, v2) in reachable
-    )
-    index = {t: i for i, t in enumerate(triples)}
-    edges: dict[int, list[tuple[int, int]]] = {}
-    for a, triple in enumerate(triples):
-        edges[a] = []
+    }
+    for triple, out in edges.items():
         for target, (w1, w2) in steps(proof, LEFT, triple):
-            b = index.get(target)  # None when a pair leaves the child's values
-            if b is None:
-                continue
-            edges[a].append((b, w1.to_int() - w2.to_int()))
-    return triples, edges
+            if target in edges:  # not when a pair leaves the child's values
+                out.append((target, w1.to_int() - w2.to_int()))
+    return edges
 
 
 def _balanced(proof: Proof, reachable) -> RestrictionReport:
@@ -200,10 +195,10 @@ def _balanced(proof: Proof, reachable) -> RestrictionReport:
     potential difference.  An inconsistency yields an unbalanced cycle,
     trimmed to a simple one.  The weights out of the reachable antecedent
     pairs must be finite, as the finitely-progressing check ensures."""
-    triples, edges = _binary_graph(proof, reachable)
+    edges = _binary_graph(proof, reachable)
     adjacency = {v: [w for w, _d in targets] for v, targets in edges.items()}
     witnesses = []
-    for comp in sorted(sccs(len(triples), adjacency)):
+    for comp in sorted(sccs(adjacency)):
         members = set(comp)
 
         def inside(v):
@@ -222,7 +217,7 @@ def _balanced(proof: Proof, reachable) -> RestrictionReport:
             continue
         cycle = _unbalanced_cycle(inside, tree, start, *bad)
         trimmed = _trim_to_simple(cycle)
-        walk = [triples[i] for i, _d in trimmed]
+        walk = [v for v, _d in trimmed]
         witnesses.append({**walk_json(walk), "difference": _cycle_total(trimmed)})
     return RestrictionReport(
         name="balanced", passed=not witnesses, witnesses=tuple(witnesses)

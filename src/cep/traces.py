@@ -6,13 +6,14 @@ follow it, value by value.  Every walk goes through :func:`steps`, the
 step relation of a node and a tuple of trace values, which reads the
 graph that :class:`cep.proofgraph.Proof` derives once from its trace
 pair annotations, and every report renders a walk with
-:func:`walk_json`.
+:func:`walk_json`.  Maximal traces, traces along a path and simple
+cycles are filters over one depth-first walk generator.
 The graph primitives shared with the automata, the restriction checks and
 soundness live here too: :func:`closure` (every vertex reachable from a
 set of starts), :func:`bfs` (the one parent-pointer breadth-first
 search, streamed), :func:`bfs_tree` (its whole tree), :func:`tree_path`
 (the witness path to a vertex of the tree) and :func:`sccs` (iterative
-Tarjan).
+Tarjan over any hashable vertices).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .ordinal import ZERO, Ordinal, ord_add
-from .proofgraph import LEFT, RIGHT, SIDES, Proof
+from .proofgraph import LEFT, RIGHT, Proof, check_side
 
 __all__ = [
     "TraceClassification",
@@ -57,8 +58,7 @@ def _walk_weights(proof: Proof, side: str, walk: tuple) -> list[tuple] | None:
     """The weights of each step of ``walk``, or None when some step is not
     a trace step.  Raises ``ValueError`` when the nodes are not a path of
     the proof, or else when a value is not a ``side`` value of its node."""
-    if side not in SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    check_side(side)
     if not walk:
         raise ValueError("a walk has at least one vertex")
     nodes = tuple(vertex[0] for vertex in walk)
@@ -145,6 +145,32 @@ def _walk_order(walk: tuple) -> tuple:
     return tuple(zip(*walk))
 
 
+def _walks(proof: Proof, side: str, root: tuple, extend):
+    """Every walk from ``root`` that ``extend`` lets grow, depth first:
+    yields each walk with its :func:`steps`, then grows it by each step
+    vertex ``v`` for which ``extend(walk, v, on_walk)`` holds, where
+    ``on_walk`` holds the vertices of ``walk``."""
+    walk = (root,)
+    nexts = steps(proof, side, root)
+    yield walk, nexts
+    on_walk = {root: 0}  # vertex -> the index of its first visit
+    stack = [(walk, iter(nexts))]
+    while stack:
+        walk, pending = stack[-1]
+        for vertex, _w in pending:
+            if extend(walk, vertex, on_walk):
+                on_walk.setdefault(vertex, len(stack))
+                walk += (vertex,)
+                nexts = steps(proof, side, vertex)
+                yield walk, nexts
+                stack.append((walk, iter(nexts)))
+                break
+        else:
+            stack.pop()
+            if on_walk[walk[-1]] == len(stack):
+                del on_walk[walk[-1]]
+
+
 def enumerate_right_maximal(
     proof: Proof, node_id: str, value: str, max_path_len: int
 ) -> list[tuple]:
@@ -158,30 +184,22 @@ def enumerate_right_maximal(
         raise ValueError(
             f"value {value!r} is not a consequent value of node {node_id!r}"
         )
-    results = []
-    stack = [((node_id, value),)]
-    while stack:
-        walk = stack.pop()
-        nexts = steps(proof, RIGHT, walk[-1])
-        if not nexts:
-            last_id, last_value = walk[-1]
-            if last_value not in proof.node(last_id).excluded:
-                results.append(walk)
-            continue
-        if len(walk) >= max_path_len:
-            continue
-        for vertex, _w in nexts:
-            stack.append(walk + (vertex,))
-    results.sort(key=_walk_order)
-    return results
+    walks = _walks(
+        proof, RIGHT, (node_id, value), lambda walk, _v, _on: len(walk) < max_path_len
+    )
+    maximal = (
+        walk
+        for walk, nexts in walks
+        if not nexts and walk[-1][1] not in proof.node(walk[-1][0]).excluded
+    )
+    return sorted(maximal, key=_walk_order)
 
 
 def simple_cycles(proof: Proof, side: str) -> list[tuple]:
     """All simple trace cycles on one side, rooted at each (node, value)
     pair they visit.  A cycle is simple when no (node, value) pair repeats
     other than the root at both ends."""
-    if side not in SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    check_side(side)
     return _simple_cycles(proof, side, 1)
 
 
@@ -204,14 +222,12 @@ def _simple_cycles(proof: Proof, side: str, k: int) -> list[tuple]:
     )
     walks = []
     for root in roots:
-        stack = [((root,), frozenset([root]))]
-        while stack:
-            walk, on_walk = stack.pop()
-            for vertex, _w in steps(proof, side, walk[-1]):
+        for walk, nexts in _walks(
+            proof, side, root, lambda _walk, v, on_walk: v > root and v not in on_walk
+        ):
+            for vertex, _w in nexts:
                 if vertex == root:
                     walks += (walk[i:] + walk[: i + 1] for i in range(len(walk)))
-                elif vertex > root and vertex not in on_walk:
-                    stack.append((walk + (vertex,), on_walk | {vertex}))
     walks.sort(key=_walk_order)
     return walks
 
@@ -224,18 +240,12 @@ def traces_on_path(
     first node does not carry that value."""
     if first_value not in proof.node(path_nodes[0]).values(side):
         return []
-    out = []
-    stack = [((path_nodes[0], first_value),)]
-    while stack:
-        walk = stack.pop()
-        out.append(walk)
-        if len(walk) < len(path_nodes):
-            child = path_nodes[len(walk)]
-            for vertex, _w in steps(proof, side, walk[-1]):
-                if vertex[0] == child:
-                    stack.append(walk + (vertex,))
-    out.sort(key=_walk_order)
-    return out
+
+    def extend(walk, vertex, _on_walk):
+        return len(walk) < len(path_nodes) and vertex[0] == path_nodes[len(walk)]
+
+    walks = _walks(proof, side, (path_nodes[0], first_value), extend)
+    return sorted((walk for walk, _nexts in walks), key=_walk_order)
 
 
 def reachable_pairs(
@@ -309,52 +319,45 @@ def tree_path(tree: dict, target) -> list[tuple]:
     return path
 
 
-def sccs(n: int, edges: dict[int, list[int]]) -> list[list[int]]:
-    """Strongly connected components of the graph on vertices ``0..n-1``
-    with the given adjacency lists (iterative Tarjan).  Components come
-    out sorted, in the reverse topological order of their condensation."""
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
+def sccs(edges: dict) -> list[list]:
+    """Strongly connected components of the graph whose vertices are the
+    keys of ``edges``, each mapped to the list of its successors, which
+    are keys too (iterative Tarjan).  Components come out sorted, in the
+    reverse topological order of their condensation."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: dict = {}  # vertex -> its position on the stack
+    stack: list = []
+    out: list[list] = []
+    work: list = []  # (vertex, its successors not yet read)
+
+    def visit(v):
+        index[v] = low[v] = len(low)
+        on_stack[v] = len(stack)
+        stack.append(v)
+        work.append((v, iter(edges[v])))
+
+    for root in edges:
+        if root in index:
             continue
-        work = [(root, 0)]
+        visit(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            targets = edges.get(v, ())
-            while pi < len(targets):
-                w = targets[pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    visit(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[v])
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = stack[on_stack[v]:]
+                    del stack[on_stack[v]:]
+                    for w in component:
+                        del on_stack[w]
+                    out.append(sorted(component))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from cep.traces import (
     prog_points,
     simple_binary_cycles,
     simple_cycles,
+    sccs,
     steps,
     walk_json,
 )
@@ -297,3 +299,65 @@ class TestTraceInjectivityConsequence:
                 for values in full:
                     key = (values[0], values[-1])
                     assert seen.setdefault(key, values) == values
+
+
+def random_graph(seed):
+    """A seeded graph on shuffled ``(node, value)`` tuple vertices, with
+    self-loops and isolated vertices, as a dict of successor lists."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    vertices = [(f"n{i % 3}", f"v{i}") for i in range(n)]
+    rng.shuffle(vertices)
+    isolated = set(rng.sample(vertices, rng.randint(0, n // 3)))
+    linked = [v for v in vertices if v not in isolated]
+    density = rng.choice([0.1, 0.25, 0.5])
+    return {
+        v: [] if v in isolated else [w for w in linked if rng.random() < density]
+        for v in vertices
+    }
+
+
+def mutual_classes(edges):
+    """The mutual-reachability classes of ``edges``, by brute force."""
+    reach = {}
+    for v in edges:
+        seen, frontier = {v}, [v]
+        while frontier:
+            for w in edges[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach[v] = seen
+    return {
+        frozenset(w for w in edges if w in reach[v] and v in reach[w]) for v in edges
+    }
+
+
+class TestSccs:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_graphs(self, seed):
+        edges = random_graph(seed)
+        comps = sccs(edges)
+        # A partition of the vertices into the mutual-reachability classes.
+        assert sum(len(comp) for comp in comps) == len(edges)
+        assert {frozenset(comp) for comp in comps} == mutual_classes(edges)
+        assert all(comp == sorted(comp) for comp in comps)
+        # Reverse topological order: cross edges point to earlier components.
+        position = {v: i for i, comp in enumerate(comps) for v in comp}
+        for v, targets in edges.items():
+            for w in targets:
+                assert position[v] >= position[w]
+
+    def test_graph_has_self_loops_and_isolated_vertices(self):
+        graphs = [random_graph(seed) for seed in range(60)]
+        assert any(v in targets for g in graphs for v, targets in g.items())
+        assert any(
+            not targets and all(v not in ts for ts in g.values())
+            for g in graphs
+            for v, targets in g.items()
+        )
+
+    def test_long_chain_is_iterative(self):
+        edges = {("n", i): [("n", i + 1)] for i in range(5_000)}
+        edges[("n", 5_000)] = [("n", 0)]
+        assert sccs(edges) == [sorted(edges)]
