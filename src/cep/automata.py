@@ -62,6 +62,7 @@ __all__ = [
     "export_dot",
     "automaton_to_json",
     "automaton_from_json",
+    "to_json",
 ]
 
 
@@ -561,6 +562,34 @@ def _letter_to_json(letter: Letter) -> dict:
     if letter.is_node:
         return {"node": letter.node}
     return {"ants": list(letter.ants), "con": letter.con}
+
+
+def _items_to_json(values) -> list:
+    return [to_json(value) for value in values]
+
+
+_TO_JSON = {
+    Letter: _letter_to_json,
+    Ordinal: str,
+    TropicalWeight: str,
+    tuple: _items_to_json,
+    list: _items_to_json,
+    dict: dict,
+}
+
+
+def to_json(value):
+    """The JSON form of a report value: a dataclass as an object of its
+    fields in declaration order, a tuple or list as a list, an ordinal or
+    a tropical weight as its string, a letter as its letter object, a dict
+    (a reason, built as JSON already) as a shallow copy, and anything else
+    as itself."""
+    render = _TO_JSON.get(type(value))
+    if render is not None:
+        return render(value)
+    if hasattr(type(value), "__dataclass_fields__"):
+        return {name: to_json(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value
 
 
 def automaton_to_json(auto: WeightedAutomaton) -> str:

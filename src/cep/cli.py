@@ -25,6 +25,7 @@ from .automata import (
     build_antecedent_full,
     build_consequent,
     export_dot,
+    to_json,
 )
 from .containment import check_bounds, decide_containment, oracle_compare
 from .decision import ORDER_STATUS, decide_order, definition_oracle
@@ -82,11 +83,7 @@ def _emit(args, report: dict, human: list[str]) -> None:
 def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     proof = load_proof(args.file)
     report = validate(proof)
-    payload = {
-        "violations": [v.to_json() for v in report.violations],
-        "trace_injective": report.trace_injective,
-        "nodes": len(proof.nodes),
-    }
+    payload = {**to_json(report), "nodes": len(proof.nodes)}
     code = EXIT_OK if report.ok else EXIT_FAIL
     human = [
         f"nodes: {len(proof.nodes)}",
@@ -103,7 +100,7 @@ def _cmd_soundness(args) -> tuple[int, dict, list[str]]:
     payload = {"verdict": report.verdict}
     human = [f"global soundness: {report.verdict}"]
     if report.witness is not None:
-        payload["witness"] = report.witness.to_json()
+        payload["witness"] = to_json(report.witness)
         human.append(f"  lasso prefix: {' '.join(report.witness.prefix)}")
         human.append(f"  lasso cycle:  {' '.join(report.witness.cycle)}")
     return (EXIT_OK if report.sound else EXIT_FAIL), payload, human
@@ -177,13 +174,9 @@ def _cmd_restrictions(args) -> tuple[int, dict, list[str]]:
     query = _query_from_args(args)
     reports = check_all_restrictions(proof, query)
     thresholds = compute_thresholds(proof, query)
-    payload = {
-        "checks": [r.to_json() for r in reports],
-        "thresholds": thresholds.to_json(),
-    }
-    human = [
-        f"{r.name}: {'pass' if r.passed else 'FAIL'}" for r in reports
-    ] + [f"thresholds: {json.dumps(thresholds.to_json())}"]
+    payload = {"checks": to_json(reports), "thresholds": to_json(thresholds)}
+    human = [f"{r.name}: {'pass' if r.passed else 'FAIL'}" for r in reports]
+    human.append(f"thresholds: {json.dumps(payload['thresholds'])}")
     code = EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
     return code, payload, human
 
@@ -198,7 +191,7 @@ def _cmd_contain(args) -> tuple[int, dict, list[str]]:
         verdict = oracle_compare(b, a, args.strict, args.oracle_len)
     else:
         verdict = decide_containment(b, a, args.strict, lag_cap=args.lag_cap)
-    payload = verdict.to_json()
+    payload = to_json(verdict)
     human = [f"containment ({'<' if args.strict else '<='}): {verdict.status}"]
     if verdict.counterexample is not None:
         human.append(
@@ -219,7 +212,7 @@ def _cmd_order(args) -> tuple[int, dict, list[str]]:
         lag_cap=args.lag_cap,
         oracle_len=args.oracle_len,
     )
-    payload = verdict.to_json()
+    payload = to_json(verdict)
     rel = "<" if args.strict else "<="
     human = [
         f"{query.con_value} {rel} {query.ant_value} at {query.node}: {verdict.status}"
@@ -236,11 +229,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     outcome = definition_oracle(
         proof, query, strict=args.strict, max_path_len=args.max_len
     )
-    payload = {
-        "max_path_len": outcome.max_path_len,
-        "strict": outcome.strict,
-        "counterexample": outcome.counterexample,
-    }
+    payload = to_json(outcome)
     if outcome.ok:
         human = [f"no counterexample up to path length {outcome.max_path_len}"]
         return EXIT_OK, payload, human

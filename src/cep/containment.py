@@ -71,7 +71,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .automata import Letter, State, WeightedAutomaton, _letter_to_json, language_value
+from .automata import Letter, State, WeightedAutomaton, language_value
 from .ordinal import TropicalWeight
 from .traces import bfs, tree_path
 
@@ -93,20 +93,6 @@ class ContainmentVerdict:
     counterexample: tuple[Letter, ...] | None = None
     lhs_value: TropicalWeight | None = None
     rhs_value: TropicalWeight | None = None
-
-    def to_json(self) -> dict:
-        word = None
-        if self.counterexample is not None:
-            word = [_letter_to_json(l) for l in self.counterexample]
-        return {
-            "status": self.status,
-            "strict": self.strict,
-            "engine": self.engine,
-            "parameters": self.parameters,
-            "counterexample": word,
-            "lhs_value": None if self.lhs_value is None else str(self.lhs_value),
-            "rhs_value": None if self.rhs_value is None else str(self.rhs_value),
-        }
 
 
 def check_bounds(lag_cap: int = 1, length_bound: int = 0) -> None:

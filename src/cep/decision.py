@@ -23,6 +23,7 @@ from .automata import (
     build_antecedent_approx,
     build_consequent,
     is_grounded,
+    to_json,
 )
 from .containment import ContainmentVerdict, check_bounds, decide_containment
 from .containment import oracle_compare
@@ -67,17 +68,6 @@ class OrderVerdict:
     thresholds: Thresholds | None = None
     containment: ContainmentVerdict | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "status": self.status,
-            "reasons": [dict(r) for r in self.reasons],
-            "thresholds": None if self.thresholds is None else self.thresholds.to_json(),
-            "containment": None
-            if self.containment is None
-            else self.containment.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class OracleOutcome:
@@ -94,25 +84,18 @@ def applicability_gates(proof: Proof, query: TracePairQuery) -> list[dict] | Non
     """None when the query is in the regime the decision covers, else the
     failed gates as structured reasons."""
     query.check(proof)
-    reasons: list[dict] = []
     report = validate(proof)
     structural = report.structural
     if structural:
-        reasons.append(
-            {
-                "stage": "validation",
-                "ok": False,
-                "violations": [v.to_json() for v in structural],
-            }
-        )
-        return reasons
+        return [{"stage": "validation", "ok": False, "violations": to_json(structural)}]
+    reasons: list[dict] = []
     soundness = check_global_soundness(proof)
     if not soundness.sound:
         reasons.append(
             {
                 "stage": "global_soundness",
                 "ok": False,
-                "witness": soundness.witness.to_json(),
+                "witness": to_json(soundness.witness),
                 "note": "the ordering is defined over sound cyclic proofs only",
             }
         )
@@ -201,7 +184,7 @@ def decide_order(
         verdict = oracle_compare(consequent, antecedent, strict, oracle_len)
     status = ORDER_STATUS[verdict.status]
     reasons.append(
-        {"stage": "containment", "ok": verdict.status == "VERIFIED", **verdict.to_json()}
+        {"stage": "containment", "ok": verdict.status == "VERIFIED", **to_json(verdict)}
     )
     return OrderVerdict(
         relation=relation,

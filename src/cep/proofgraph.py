@@ -85,9 +85,6 @@ class Violation:
     location: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "location": self.location, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ValidationReport:

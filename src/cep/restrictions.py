@@ -44,28 +44,12 @@ class Thresholds:
     max_step: Ordinal
     n_bound: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "trace_width": self.trace_width,
-            "in_degree": self.in_degree,
-            "cycle_threshold": self.cycle_threshold,
-            "max_step": str(self.max_step),
-            "n_bound": self.n_bound,
-        }
-
 
 @dataclass(frozen=True)
 class RestrictionReport:
     name: str
     passed: bool
     witnesses: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": [w for w in self.witnesses],
-        }
 
 
 def compute_thresholds(proof: Proof, query) -> Thresholds:

@@ -46,9 +46,6 @@ class Lasso:
     prefix: tuple[str, ...]
     cycle: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
-
 
 @dataclass(frozen=True)
 class SoundnessReport:

@@ -31,6 +31,37 @@ def proof_from_doc(doc: dict) -> Proof:
     return parse_proof(json.dumps(doc))
 
 
+def gated_out_doc(stage: str) -> dict:
+    """A fixture document edited so that the ordering query (n0, a, c)
+    stops at ``stage``, the stage its last reason names."""
+    if stage == "global_soundness":
+        doc = fixture_doc("unsound1")
+        doc["nodes"][0]["con_values"] = ["c"]
+        return doc
+    if stage == "trace_injectivity":
+        doc = fixture_doc("ambig1")
+        doc["delta"][0]["pairs"] = [["a", "a", "1"], ["b", "a", "0"]]
+        return doc
+    doc = fixture_doc("loop2")
+    if stage == "validation":
+        doc["nodes"][1]["con_values"].append("a")
+    elif stage == "restriction_dynamic":
+        # Zero out the right-hand progression: the proof stays globally
+        # sound (the left side still descends) but the right cycle is flat.
+        for entry in doc["delta"]:
+            if entry["from"] == "n0" and entry["side"] == "right":
+                entry["pairs"] = [["c", "c", "0"]]
+    elif stage == "thresholds":
+        # (n0, b) is unreachable from (n0, a), so the gates pass, but its
+        # infinite step is the largest left weight.
+        for node in doc["nodes"][:2]:
+            node["ant_values"].append("b")
+        doc["delta"][0]["pairs"].append(["b", "b", "w"])
+    else:
+        raise ValueError(f"no edit stops at {stage!r}")
+    return doc
+
+
 def bench_inputs():
     """The benchmark's input generators, ``bench/inputs.py``, loaded by
     path; they import nothing from cep."""

@@ -9,8 +9,10 @@ from pathlib import Path as FilePath
 import jsonschema
 import pytest
 
+from cep.automata import TracePairQuery, automaton_to_json, build_antecedent_approx
+from cep.automata import build_consequent, to_json
 from cep.cli import _build_parser, run_cli
-from cep.proofgraph import serialize_proof
+from cep.proofgraph import load_proof, serialize_proof
 from cep.restrictions import compute_thresholds
 from cep.soundness import check_global_soundness
 from conftest import (
@@ -18,6 +20,7 @@ from conftest import (
     bench_inputs,
     fixture_doc,
     fixture_path,
+    gated_out_doc,
     knot_docs,
     proof_from_doc,
     set_in,
@@ -165,7 +168,7 @@ class TestExitCodes:
         doc = fixture_doc("loop2")
         doc["delta"][0]["pairs"] = [["a", "c", "1"]]
         report = check_global_soundness(proof_from_doc(doc))
-        assert report.witness.to_json() == {"prefix": ["n0"], "cycle": ["n0", "n1", "n0"]}
+        assert to_json(report.witness) == {"prefix": ["n0"], "cycle": ["n0", "n1", "n0"]}
         path = tmp_path / "loop2.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["soundness", str(path), "--json"]) == 2
@@ -628,3 +631,56 @@ class TestWalkReportGoldens:
 
     def test_every_case_has_a_golden(self, tmp_path):
         assert sorted(walk_report_argvs(tmp_path)) == sorted(self.GOLDEN)
+
+
+GATED_OUT = (
+    "validation", "global_soundness", "trace_injectivity", "restriction_dynamic", "thresholds"
+)
+
+
+def verdict_report_argvs(tmp_path) -> dict[str, list[str]]:
+    """Commands whose reports render the verdict objects: `cep order` on
+    loop2 in both relations, with each engine, and stopped at each gate;
+    `cep contain` with each engine on loop2's saved consequent and
+    approximate antecedent automata; and the restriction, validation,
+    soundness and oracle reports."""
+    argvs = {}
+    for stage in GATED_OUT:
+        path = tmp_path / f"{stage}.json"
+        path.write_text(json.dumps(gated_out_doc(stage)))
+        argvs[f"order_{stage}"] = ["order", str(path), *ORDER_ARGS]
+    argvs["validate_violation"] = ["validate", str(tmp_path / "validation.json")]
+    proof = load_proof(LOOP2)
+    query = TracePairQuery("n0", "a", "c")
+    b_path, a_path = tmp_path / "b.json", tmp_path / "a.json"
+    b_path.write_text(automaton_to_json(build_consequent(proof, query)))
+    # 6 is loop2's approximation bound N.
+    a_path.write_text(automaton_to_json(build_antecedent_approx(proof, query, 6)))
+    for relation, strict in (("leq", []), ("lt", ["--strict"])):
+        argvs[f"order_{relation}"] = ["order", LOOP2, *ORDER_ARGS, *strict]
+        argvs[f"order_oracle_{relation}"] = [
+            "order", LOOP2, *ORDER_ARGS, *strict, "--engine", "oracle", "--oracle-len", "3"
+        ]
+        for engine in ("lagset", "oracle"):
+            argvs[f"contain_{engine}_{relation}"] = [
+                "contain", str(b_path), str(a_path), *strict, "--engine", engine
+            ]
+    argvs["restrictions"] = ["restrictions", LOOP2, *ORDER_ARGS]
+    argvs["soundness_unsound"] = ["soundness", UNSOUND1]
+    argvs["oracle_leq"] = ["oracle", LOOP2, *ORDER_ARGS]
+    return argvs
+
+
+class TestVerdictReportGoldens:
+    # Compared as text, so the key order of every verdict object is pinned too.
+    GOLDEN = json.loads(
+        (FilePath(__file__).parent / "goldens" / "verdict_reports.json").read_text()
+    )
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_report_matches_golden(self, capsys, tmp_path, case):
+        _code, report = run_json(capsys, *verdict_report_argvs(tmp_path)[case])
+        assert json.dumps(report["report"]) == json.dumps(self.GOLDEN[case])
+
+    def test_every_case_has_a_golden(self, tmp_path):
+        assert sorted(verdict_report_argvs(tmp_path)) == sorted(self.GOLDEN)

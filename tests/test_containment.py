@@ -17,6 +17,7 @@ from cep.automata import (
     build_antecedent_approx,
     build_consequent,
     language_value,
+    to_json,
 )
 from cep.containment import decide_containment, oracle_compare
 from cep.decision import decide_order
@@ -276,7 +277,7 @@ class TestInvariants:
                     lambda x: decide_containment(b, x, strict),
                     lambda x: oracle_compare(b, x, strict, length_bound=5),
                 ):
-                    first, *rest = (decide(x).to_json() for x in forms)
+                    first, *rest = (to_json(decide(x)) for x in forms)
                     assert all(other == first for other in rest)
 
     def test_witness_is_oracle_least_on_larger_proofs(self):

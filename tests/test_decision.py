@@ -13,7 +13,8 @@ from cep.decision import (
     definition_oracle,
 )
 from cep.proofgraph import parse_proof, serialize_proof
-from conftest import bench_inputs, fixture_doc, knots, proof_from_doc
+from cep.restrictions import compute_thresholds
+from conftest import bench_inputs, fixture_doc, gated_out_doc, knots, proof_from_doc
 
 Q = TracePairQuery(node="n0", ant_value="a", con_value="c")
 
@@ -38,26 +39,19 @@ class TestDecideOrderFixtures:
         assert verdict.status == "HOLDS"
 
     def test_unsound_proof_not_applicable(self, unsound1):
-        doc = fixture_doc("unsound1")
-        doc["nodes"][0]["con_values"] = ["c"]
-        proof = proof_from_doc(doc)
-        verdict = decide_order(proof, TracePairQuery("n0", "a", "c"))
+        verdict = decide_order(proof_from_doc(gated_out_doc("global_soundness")), Q)
         assert verdict.status == "NOT_APPLICABLE"
         assert any(
             r["stage"] == "global_soundness" for r in verdict.reasons
         )
 
     def test_non_injective_not_applicable(self):
-        doc = fixture_doc("ambig1")
-        doc["delta"][0]["pairs"] = [["a", "a", "1"], ["b", "a", "0"]]
-        verdict = decide_order(proof_from_doc(doc), Q)
+        verdict = decide_order(proof_from_doc(gated_out_doc("trace_injectivity")), Q)
         assert verdict.status == "NOT_APPLICABLE"
         assert any(r["stage"] == "trace_injectivity" for r in verdict.reasons)
 
     def test_value_on_both_sides_not_applicable(self):
-        doc = fixture_doc("loop2")
-        doc["nodes"][1]["con_values"].append("a")
-        verdict = decide_order(proof_from_doc(doc), Q)
+        verdict = decide_order(proof_from_doc(gated_out_doc("validation")), Q)
         assert verdict.status == "NOT_APPLICABLE"
         assert verdict.reasons == (
             {
@@ -74,13 +68,7 @@ class TestDecideOrderFixtures:
         )
 
     def test_unreachable_left_omega_leaves_bound_undefined(self):
-        # (n0, b) is unreachable from (n0, a), so the gates pass, but its
-        # infinite step is the largest left weight.
-        doc = fixture_doc("loop2")
-        for node in doc["nodes"][:2]:
-            node["ant_values"].append("b")
-        doc["delta"][0]["pairs"].append(["b", "b", "w"])
-        verdict = decide_order(proof_from_doc(doc), Q)
+        verdict = decide_order(proof_from_doc(gated_out_doc("thresholds")), Q)
         assert verdict.status == "NOT_APPLICABLE"
         assert verdict.thresholds.n_bound is None
         assert verdict.reasons[-1] == {
@@ -90,13 +78,7 @@ class TestDecideOrderFixtures:
         }
 
     def test_restriction_failure_not_applicable(self):
-        # Zero out the right-hand progression: the proof stays globally
-        # sound (the left side still descends) but the right cycle is flat.
-        doc = fixture_doc("loop2")
-        for entry in doc["delta"]:
-            if entry["from"] == "n0" and entry["side"] == "right":
-                entry["pairs"] = [["c", "c", "0"]]
-        verdict = decide_order(proof_from_doc(doc), Q)
+        verdict = decide_order(proof_from_doc(gated_out_doc("restriction_dynamic")), Q)
         assert verdict.status == "NOT_APPLICABLE"
         assert any(r["stage"] == "restriction_dynamic" for r in verdict.reasons)
 
@@ -270,6 +252,43 @@ class TestCoherence:
                     decide_order(renamed, renamed_query, strict=strict).status
                     == decide_order(proof, query, strict=strict).status
                 ), (i, strict)
+
+    def test_unreachable_component_keeps_verdict(self, gated_instances):
+        # A sound u <-> v cycle with an exit to the axiom x, reached from no
+        # node of the proof, raises N but leaves the query's reach alone:
+        # its right cycle is flat, which only a reachable cycle may not be.
+        def node(node_id, children):
+            return {
+                "id": node_id, "rule": "r", "axiom": not children,
+                "sequent": {"ant": "A", "con": "C"},
+                "ant_values": ["a0"], "con_values": ["c0"], "children": children,
+                "ground": [], "excluded": [], "equates": [],
+            }
+
+        component = [node("u", ["v"]), node("v", ["u", "x"]), node("x", [])]
+        edges = [("u", 0), ("v", 0), ("v", 1)]
+        delta = [
+            {"from": parent, "child_index": index, "side": side, "pairs": [pair]}
+            for parent, index in edges
+            for side, pair in (("left", ["a0", "a0", "1"]), ("right", ["c0", "c0", "0"]))
+        ]
+        def witness(verdict):
+            return verdict.containment and verdict.containment.counterexample
+
+        for proof, query in gated_instances:
+            doc = json.loads(serialize_proof(proof))
+            doc["nodes"] += component
+            doc["delta"] += delta
+            grown = proof_from_doc(doc)
+            assert (
+                compute_thresholds(grown, query).n_bound
+                > compute_thresholds(proof, query).n_bound
+            )
+            for strict in (False, True):
+                before = decide_order(proof, query, strict=strict)
+                after = decide_order(grown, query, strict=strict)
+                assert after.status == before.status, (proof.root, strict)
+                assert witness(after) == witness(before), (proof.root, strict)
 
 
 def test_ring40_size_guard():

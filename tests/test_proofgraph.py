@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -305,17 +306,19 @@ class TestValidate:
     @pytest.mark.parametrize("seed", range(20))
     def test_single_injected_violation_found(self, seed):
         # Start from an injective proof, break exactly one edge/side map.
+        # Proofs without a map to break are passed over, 20 seeds apart, so
+        # every case runs on its own proof.
         rng = random.Random(10_000 + seed)
-        proof = random_proof(20_000 + seed, injective=True)
+        for proof_seed in itertools.count(20_000 + seed, 20):
+            proof = random_proof(proof_seed, injective=True)
+            candidates = [
+                key
+                for key, pairs in proof.delta.items()
+                if pairs and len(proof.node(key[0]).values(key[2])) >= 2
+            ]
+            if candidates:
+                break
         assert validate(proof).trace_injective
-        candidates = [
-            key
-            for key, pairs in proof.delta.items()
-            if pairs
-            and len(proof.node(key[0]).values(key[2])) >= 2
-        ]
-        if not candidates:
-            pytest.skip("no mutable delta entry")
         key = rng.choice(sorted(candidates))
         (src, dst), _w = sorted(proof.delta[key].items())[0]
         other = sorted(v for v in proof.node(key[0]).values(key[2]) if v != src)[0]
