@@ -11,12 +11,21 @@ composite relation with matching endpoints contains a (v, v, down)
 triple; an idempotent composite without one is *bad* and yields a
 witness lasso on which no left-hand trace can progress infinitely often.
 
-A relation is coded over a fixed index of every value a left pair names
-as ``(any, down)``, two tuples of row bitmasks: bit j of ``any[i]`` is
-set when value i steps to value j at some slope, and bit j of
-``down[i]`` when that step is down, so ``down[i]`` is a subset of
-``any[i]``.  The coding is one-to-one, so two composites are equal
-exactly when their triple sets are.
+A relation is coded over a fixed index of the ``n`` values that left
+pairs name as ``(any, down)``, two ints of ``n`` rows of ``n`` bits: bit
+``i*n + j`` of ``any`` is set when value i steps to value j at some
+slope, and the same bit of ``down`` when that step is down, so ``down``
+is a subset of ``any``.  The coding is one-to-one, so two composites are
+equal exactly when their triple sets are.  ``ONES`` holds bit 0 of every
+row and ``DIAG`` bit i of row i; a relation has a down loop when ``down
+& DIAG`` is not 0.
+
+A product ``r ∘ e`` takes the non-empty rows ``(j, any_j, down_j)`` of
+``e`` and, for each, the column ``c = r.any >> j & ONES`` of the values
+that step to j: ``c * any_j`` copies row j of ``e`` into every row of
+``c``, and since ``any_j`` is below ``2**n`` no carry crosses a row.  A
+step of the product is down when either of its two steps is, so the
+down part ORs ``c * down_j`` with ``(r.down >> j & ONES) * any_j``.
 
 The closure finds composites breadth first, in order of witness length,
 and stops after the first length that holds a bad composite: every
@@ -61,46 +70,46 @@ class SoundnessReport:
         return "sound" if self.sound else "unsound"
 
 
-def _edge_relations(proof: Proof) -> dict[tuple[str, str], tuple]:
+def _edge_relations(proof: Proof) -> tuple[int, int, int, dict]:
+    """``n``, ``ONES``, ``DIAG`` and each edge's relation ``(any, down)``."""
     pairs = {edge: proof.pairs(*edge, LEFT) for edge in proof.edges()}
     names = sorted({value for m in pairs.values() for pair in m for value in pair})
     index = {value: i for i, value in enumerate(names)}
+    n = len(names)
     out = {}
     for edge, m in pairs.items():
-        any_rows = [0] * len(names)
-        down_rows = [0] * len(names)
+        any_bits = down_bits = 0
         for (src, dst), weight in m.items():
-            bit = 1 << index[dst]
-            any_rows[index[src]] |= bit
+            bit = 1 << index[src] * n + index[dst]
+            any_bits |= bit
             if not weight.is_zero():
-                down_rows[index[src]] |= bit
-        out[edge] = (tuple(any_rows), tuple(down_rows))
-    return out
+                down_bits |= bit
+        out[edge] = (any_bits, down_bits)
+    return n, sum(1 << i * n for i in range(n)), sum(1 << i * (n + 1) for i in range(n)), out
 
 
-def _compose(r1: tuple, r2: tuple) -> tuple:
-    """Relational product: a step of the composite is down when either of
-    its two steps is."""
-    any2, down2 = r2
-    any_out = []
-    down_out = []
-    for row_any, row_down in zip(*r1):
-        acc_any = acc_down = 0
-        while row_any:
-            low = row_any & -row_any
-            j = low.bit_length() - 1
-            acc_any |= any2[j]
-            acc_down |= any2[j] if row_down & low else down2[j]
-            row_any ^= low
-        any_out.append(acc_any)
-        down_out.append(acc_down)
-    return tuple(any_out), tuple(down_out)
+def _rows(rel: tuple[int, int], n: int) -> list[tuple[int, int, int]]:
+    """The non-empty rows ``(j, any_j, down_j)`` of a relation."""
+    mask = (1 << n) - 1
+    rows = [(j, rel[0] >> j * n & mask, rel[1] >> j * n & mask) for j in range(n)]
+    return [row for row in rows if row[1]]
 
 
-def _is_bad(rel: tuple) -> bool:
+def _compose(rel: tuple[int, int], rows: list, ones: int) -> tuple[int, int]:
+    """Relational product with the relation of ``rows``: a step of the
+    composite is down when either of its two steps is."""
+    any_bits, down_bits = rel
+    any_out = down_out = 0
+    for j, any_j, down_j in rows:
+        c = any_bits >> j & ones
+        any_out |= c * any_j
+        down_out |= c * down_j | (down_bits >> j & ones) * any_j
+    return any_out, down_out
+
+
+def _is_bad(rel: tuple[int, int], n: int, ones: int, diag: int) -> bool:
     # The diagonal first: it is cheaper than the product.
-    down_loop = any(row >> i & 1 for i, row in enumerate(rel[1]))
-    return not down_loop and _compose(rel, rel) == rel
+    return not rel[1] & diag and _compose(rel, _rows(rel, n), ones) == rel
 
 
 def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
@@ -110,7 +119,7 @@ def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
     child order makes deterministic.  The witnesses of one level have one
     length, so their least in tuple order is the least by (length, path).
     """
-    base = _edge_relations(proof)
+    width, ones, diag, base = _edge_relations(proof)
     rels: list[tuple] = []
     numbers: dict[tuple, int] = {}
 
@@ -131,32 +140,34 @@ def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
 
     def is_bad(n: int) -> bool:
         if n not in bad_of:
-            bad_of[n] = _is_bad(rels[n])
+            bad_of[n] = _is_bad(rels[n], width, ones, diag)
         return bad_of[n]
 
-    # node -> [(child, edge relation, {relation number: product number})]
+    # node -> [(child, rows of the edge relation, {relation number: product number})]
     succ: dict[str, list] = {}
     pred = {(parent, child, number(rel)): None for (parent, child), rel in base.items()}
     level = list(pred)
     while level:
         bad = [key for key in level if key[0] == key[1] and is_bad(key[2])]
         if bad:
-            return len(pred), min(map(witness, bad))
+            break
         longer = []
         for key in level:
             src, mid, n = key
             if mid not in succ:
                 children = sorted(set(proof.node(mid).children))
-                succ[mid] = [(child, base[(mid, child)], {}) for child in children]
-            for child, rel, products in succ[mid]:
+                succ[mid] = [(c, _rows(base[(mid, c)], width), {}) for c in children]
+            for child, rows, products in succ[mid]:
                 if n not in products:
-                    products[n] = number(_compose(rels[n], rel))
+                    products[n] = number(_compose(rels[n], rows, ones))
                 new = (src, child, products[n])
                 if new not in pred:
                     pred[new] = key
                     longer.append(new)
         level = longer
-    return len(pred), None
+    log.debug("composition closure: %d path relations, %d relations, %d products",
+              len(pred), len(rels), sum(len(p) for e in succ.values() for _, _, p in e))
+    return len(pred), min(map(witness, bad)) if level else None
 
 
 def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
@@ -172,7 +183,6 @@ def check_global_soundness(proof: Proof) -> SoundnessReport:
     """Verdict plus, when unsound, a lasso (prefix path, cycle path) on
     which no left-hand trace progresses infinitely often."""
     count, cycle = _closure(proof)
-    log.debug("composition closure: %d path relations", count)
     if cycle is None:
         return SoundnessReport(sound=True, witness=None, relations_explored=count)
     return SoundnessReport(

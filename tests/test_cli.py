@@ -642,8 +642,10 @@ def verdict_report_argvs(tmp_path) -> dict[str, list[str]]:
     """Commands whose reports render the verdict objects: `cep order` on
     loop2 in both relations, with each engine, and stopped at each gate;
     `cep contain` with each engine on loop2's saved consequent and
-    approximate antecedent automata; and the restriction, validation,
-    soundness and oracle reports."""
+    approximate antecedent automata; the restriction, validation,
+    soundness and oracle reports; and, on each of the seven bench knots,
+    `cep soundness` and the root `cep order` query, which the gates stop
+    before any automaton."""
     argvs = {}
     for stage in GATED_OUT:
         path = tmp_path / f"{stage}.json"
@@ -668,6 +670,13 @@ def verdict_report_argvs(tmp_path) -> dict[str, list[str]]:
     argvs["restrictions"] = ["restrictions", LOOP2, *ORDER_ARGS]
     argvs["soundness_unsound"] = ["soundness", UNSOUND1]
     argvs["oracle_leq"] = ["oracle", LOOP2, *ORDER_ARGS]
+    for i, (_sound, doc) in enumerate(knot_docs()):
+        path = tmp_path / f"knot{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs[f"knot{i}_soundness"] = ["soundness", str(path)]
+        argvs[f"knot{i}_order"] = [
+            "order", str(path), "--node", doc["root"], "--ant", "a0", "--con", "c0"
+        ]
     return argvs
 
 
@@ -684,3 +693,5 @@ class TestVerdictReportGoldens:
 
     def test_every_case_has_a_golden(self, tmp_path):
         assert sorted(verdict_report_argvs(tmp_path)) == sorted(self.GOLDEN)
+        knot_cases = [f"knot{i}_{cmd}" for i in range(7) for cmd in ("order", "soundness")]
+        assert set(knot_cases) <= set(self.GOLDEN)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 from collections import deque
 
@@ -12,6 +13,7 @@ from cep.soundness import (
     _compose,
     _edge_relations,
     _is_bad,
+    _rows,
     _shortest_root_path,
     check_global_soundness,
 )
@@ -100,16 +102,20 @@ def ring_proof(k: int, w: int, flat: bool = False):
 
 
 def decode(proof, coded) -> frozenset:
-    """The frozenset form of a relation coded by ``_edge_relations``."""
+    """The frozenset form of a relation coded by ``_edge_relations``: bit
+    ``i*n + j`` of each of the two ints is the step from value i to value j
+    over the ``n`` sorted left value names."""
     names = sorted(
         {v for edge in proof.edges() for pair in proof.pairs(*edge, LEFT) for v in pair}
     )
-    any_rows, down_rows = coded
+    n = len(names)
+    any_bits, down_bits = coded
+    assert any_bits >> n * n == 0 and down_bits & ~any_bits == 0
     return frozenset(
-        (names[i], names[j], DOWN if down_rows[i] >> j & 1 else FLAT)
-        for i, row in enumerate(any_rows)
-        for j in range(len(names))
-        if row >> j & 1
+        (names[i], names[j], DOWN if down_bits >> i * n + j & 1 else FLAT)
+        for i in range(n)
+        for j in range(n)
+        if any_bits >> i * n + j & 1
     )
 
 
@@ -133,10 +139,20 @@ class TestRelationAlgebra:
         assert has_progress_loop(frozenset({("a", "a", DOWN)}))
         assert not has_progress_loop(frozenset({("a", "a", FLAT), ("a", "b", DOWN)}))
 
+    def test_coding_masks(self):
+        n, ones, diag, _coded = _edge_relations(ring_proof(3, 3))
+        assert (n, ones, diag) == (3, 0b001_001_001, 0b100_010_001)
+
+    def test_rows_skip_empty(self):
+        # Over a, b, c: a -> b down, c -> a and c -> c flat.
+        rel = (0b101_000_010, 0b000_000_010)
+        assert _rows(rel, 3) == [(0, 0b010, 0b010), (2, 0b101, 0)]
+        assert _rows((0, 0), 3) == []
+
     @pytest.mark.parametrize("seed", range(40))
     def test_coding_matches_reference(self, seed):
         proof = random_proof(9_000 + seed)
-        coded = _edge_relations(proof)
+        n, ones, diag, coded = _edge_relations(proof)
         for (parent, child), rel in coded.items():
             assert decode(proof, rel) == edge_relation(proof, parent, child)
             for grandchild in proof.node(child).children:
@@ -144,10 +160,10 @@ class TestRelationAlgebra:
                     edge_relation(proof, parent, child),
                     edge_relation(proof, child, grandchild),
                 )
-                got = _compose(rel, coded[(child, grandchild)])
+                got = _compose(rel, _rows(coded[(child, grandchild)], n), ones)
                 assert decode(proof, got) == ref
                 bad = compose(ref, ref) == ref and not has_progress_loop(ref)
-                assert _is_bad(got) == bad
+                assert _is_bad(got, n, ones, diag) == bad
 
 
 class TestVerdicts:
@@ -215,9 +231,13 @@ class TestVerdicts:
         else:
             assert report.relations_explored <= relations
 
-    # Long witnesses, and products shared by thousands of composites.
+    # Long witnesses, products shared by thousands of composites, and wide
+    # rows: ring(3, 70) has 70 left values, so each row is longer than a
+    # machine word and each coded matrix has 4,900 bits.
     @pytest.mark.parametrize("flat", [False, True])
-    @pytest.mark.parametrize("k, w, composites", [(12, 2, 233), (40, 2, 2_459), (20, 1, 629)])
+    @pytest.mark.parametrize(
+        "k, w, composites", [(12, 2, 233), (40, 2, 2_459), (20, 1, 629), (3, 70, 17)]
+    )
     def test_ring_matches_reference_closure(self, k, w, composites, flat):
         proof = ring_proof(k, w, flat)
         report = check_global_soundness(proof)
@@ -237,6 +257,18 @@ class TestVerdicts:
         assert sound == planted
         assert (report.sound, report.witness) == (sound, lasso)
 
+    @pytest.mark.parametrize("sound", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nine_value_knot_matches_reference_closure(self, seed, sound):
+        doc = bench_inputs().knot_doc(random.Random(seed), 14, 9, sound)
+        proof = proof_from_doc(doc)
+        planted, lasso, relations = reference_soundness(proof)
+        report = check_global_soundness(proof)
+        assert planted == sound
+        assert (report.sound, report.witness) == (sound, lasso)
+        if sound:
+            assert report.relations_explored == relations
+
     def test_knot_relation_counts(self):
         # Sound knots explore the whole closure, so equal counts show the
         # coding keeps composites apart exactly when the triples differ;
@@ -255,6 +287,29 @@ class TestVerdicts:
         rng.shuffle(doc["delta"])
         shuffled = parse_proof(json.dumps(doc))
         assert check_global_soundness(shuffled) == check_global_soundness(proof)
+
+
+class TestClosureRecord:
+    """The DEBUG record of the closure: the composites found, the distinct
+    relations numbered and the (relation, edge) products composed."""
+
+    def records(self, caplog, proof) -> list[tuple]:
+        caplog.set_level(logging.DEBUG, logger="cep.soundness")
+        caplog.clear()
+        check_global_soundness(proof)
+        return [r.args for r in caplog.records if r.msg.startswith("composition closure")]
+
+    def test_loop2(self, caplog, loop2):
+        assert self.records(caplog, loop2) == [(8, 2, 4)]
+
+    def test_sound_knots(self, caplog):
+        records = [self.records(caplog, proof) for _, proof in knots()[0::2]]
+        assert records == [
+            [(1_240, 239, 549)],
+            [(6_238, 890, 3_257)],
+            [(2_368, 504, 1_298)],
+            [(4_498, 419, 1_938)],
+        ]
 
 
 def node_cycles(proof, max_len):
