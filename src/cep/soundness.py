@@ -35,11 +35,27 @@ Relations are numbered when first found.  A composite's successors
 depend only on its endpoint and relation, so each (relation, edge)
 product is made once, for every start node.  Witness paths are read back
 through predecessor keys, only for the bad composites found.
+
+The verdict needs composites from the *cut nodes* only: the targets of
+the back edges of a depth-first search that starts at each node in
+sorted order and reads children in sorted order.  Every cycle holds a
+back edge, so the cut nodes meet every cycle.  A bad composite at ``v``
+is a cycle ``P·Q`` through some cut node ``f`` (``P`` from ``v`` to
+``f``, ``Q`` back), with ``R = PQ`` idempotent and no ``(u, u, down)``.
+By rotation ``S = (QP)²`` is idempotent, since ``(QP)³ = Q(PQ)(PQ)P =
+(QP)²``.  The infinite path ``(QP)^ω`` from ``f`` is a tail of ``v``
+followed by ``(PQ)^ω``, on which, ``R`` being bad, no tail has an
+infinitely progressing trace; a down loop ``(u, u, down)`` in ``S``
+would give one, so ``(f, f, S)`` is a bad composite from ``f``.  The
+closure from the cut nodes thus finds a bad composite exactly when the
+closure from every node does.  Only then is the closure run again from
+every node, for the least bad witness.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .proofgraph import LEFT, Proof
@@ -58,8 +74,11 @@ class Lasso:
 
 @dataclass(frozen=True)
 class SoundnessReport:
-    """``relations_explored`` counts the composites discovered up to the
-    length at which the closure stopped: all of them on a sound proof."""
+    """``relations_explored`` counts the composites that the closure from
+    the cut nodes (the back-edge targets of a depth-first search, which
+    meet every cycle) discovered up to the length at which it stopped:
+    all of them on a sound proof.  The closure from every node that finds
+    the lasso of an unsound proof is not counted."""
 
     sound: bool
     witness: Lasso | None
@@ -112,12 +131,44 @@ def _is_bad(rel: tuple[int, int], n: int, ones: int, diag: int) -> bool:
     return not rel[1] & diag and _compose(rel, _rows(rel, n), ones) == rel
 
 
-def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
-    """The number of path composites of edge relations, and the least bad
-    witness or ``None``.  A composite is keyed ``(src, dst, relation
-    number)`` and keeps the key it was first reached from, which sorted
-    child order makes deterministic.  The witnesses of one level have one
-    length, so their least in tuple order is the least by (length, path).
+def _cut_nodes(proof: Proof) -> set[str]:
+    """The targets of the back edges of a depth-first search that starts
+    at each node in sorted order and reads children in sorted order."""
+    on_path: dict[str, bool] = {}  # node -> still on the search path
+    cut = set()
+
+    def children(node: str):
+        return iter(sorted(set(proof.node(node).children)))
+
+    for root in sorted(proof.nodes):
+        if root in on_path:
+            continue
+        on_path[root] = True
+        work = [(root, children(root))]
+        while work:
+            node, rest = work[-1]
+            for child in rest:
+                if child not in on_path:
+                    on_path[child] = True
+                    work.append((child, children(child)))
+                    break
+                if on_path[child]:
+                    cut.add(child)
+            else:
+                work.pop()
+                on_path[node] = False
+    return cut
+
+
+def _closure(
+    proof: Proof, sources: Collection[str]
+) -> tuple[int, tuple[str, ...] | None]:
+    """The number of path composites of edge relations that start at a
+    node of ``sources``, and the least bad witness among them or ``None``.
+    A composite is keyed ``(src, dst, relation number)`` and keeps the key
+    it was first reached from, which sorted child order makes
+    deterministic.  The witnesses of one level have one length, so their
+    least in tuple order is the least by (length, path).
     """
     width, ones, diag, base = _edge_relations(proof)
     rels: list[tuple] = []
@@ -145,7 +196,11 @@ def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
 
     # node -> [(child, rows of the edge relation, {relation number: product number})]
     succ: dict[str, list] = {}
-    pred = {(parent, child, number(rel)): None for (parent, child), rel in base.items()}
+    pred = {
+        (parent, child, number(rel)): None
+        for (parent, child), rel in base.items()
+        if parent in sources
+    }
     level = list(pred)
     while level:
         bad = [key for key in level if key[0] == key[1] and is_bad(key[2])]
@@ -165,8 +220,9 @@ def _closure(proof: Proof) -> tuple[int, tuple[str, ...] | None]:
                     pred[new] = key
                     longer.append(new)
         level = longer
-    log.debug("composition closure: %d path relations, %d relations, %d products",
-              len(pred), len(rels), sum(len(p) for e in succ.values() for _, _, p in e))
+    log.debug("composition closure: %d path relations, %d relations, %d products, "
+              "%d start nodes", len(pred), len(rels),
+              sum(len(p) for e in succ.values() for _, _, p in e), len(sources))
     return len(pred), min(map(witness, bad)) if level else None
 
 
@@ -182,9 +238,10 @@ def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
 def check_global_soundness(proof: Proof) -> SoundnessReport:
     """Verdict plus, when unsound, a lasso (prefix path, cycle path) on
     which no left-hand trace progresses infinitely often."""
-    count, cycle = _closure(proof)
+    count, cycle = _closure(proof, _cut_nodes(proof))
     if cycle is None:
         return SoundnessReport(sound=True, witness=None, relations_explored=count)
+    _count, cycle = _closure(proof, proof.nodes)
     return SoundnessReport(
         sound=False,
         witness=Lasso(prefix=_shortest_root_path(proof, cycle[0]), cycle=cycle),

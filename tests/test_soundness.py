@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import random
@@ -11,13 +12,22 @@ from cep.proofgraph import LEFT, parse_proof, serialize_proof
 from cep.soundness import (
     Lasso,
     _compose,
+    _cut_nodes,
     _edge_relations,
     _is_bad,
     _rows,
     _shortest_root_path,
     check_global_soundness,
 )
-from conftest import bench_inputs, fixture_doc, knots, proof_from_doc, random_proof
+from cep.traces import closure
+from conftest import (
+    bench_inputs,
+    fixture_doc,
+    knots,
+    load_fixture,
+    proof_from_doc,
+    random_proof,
+)
 
 # The reference form of sloped relations that the bitmask coding of
 # cep.soundness is checked against: a frozenset of (source value, target
@@ -58,9 +68,10 @@ def has_progress_loop(rel: frozenset) -> bool:
     return any(src == dst and slope == DOWN for src, dst, slope in rel)
 
 
-def reference_soundness(proof):
+def reference_soundness(proof, sources=None):
     """The full composition closure over frozenset relations (FIFO, sorted
-    children), then the least bad witness by (length, path): the verdict,
+    children) of the paths that start at a node of ``sources`` (every node
+    when None), then the least bad witness by (length, path): the verdict,
     the lasso and the number of composites."""
     base = {
         (parent, child): edge_relation(proof, parent, child)
@@ -69,6 +80,8 @@ def reference_soundness(proof):
     paths = {}
     queue = deque()
     for (parent, child), rel in sorted(base.items()):
+        if sources is not None and parent not in sources:
+            continue
         paths[(parent, child, rel)] = (parent, child)
         queue.append((parent, child, rel))
     while queue:
@@ -87,6 +100,33 @@ def reference_soundness(proof):
         return True, None, len(paths)
     cycle = min(bad, key=lambda witness: (len(witness), witness))
     return False, Lasso(_shortest_root_path(proof, cycle[0]), cycle), len(paths)
+
+
+# The random draws of TestVerdicts, also checked for their cut nodes.
+VERDICT_SEEDS = [*range(8_000, 8_030), *range(9_000, 9_040)]
+MORE_VALUES_SEEDS = range(10_000, 10_040)
+
+
+def more_values_proof(seed: int):
+    return random_proof(seed, max_nodes=6, max_values=3 + seed % 2)
+
+
+def check_against_reference(proof):
+    """Check ``check_global_soundness`` against the reference and return
+    its report.  The verdict and lasso are those of the closure from every
+    node; the verdict is also that of the closure from the cut nodes,
+    whose composites the report counts: all of them on a sound proof, and
+    no more on an unsound one, where the closure stops early."""
+    sound, lasso, _relations = reference_soundness(proof)
+    cut_sound, _cut_lasso, relations = reference_soundness(proof, _cut_nodes(proof))
+    report = check_global_soundness(proof)
+    assert (report.sound, report.witness) == (sound, lasso)
+    assert cut_sound == sound
+    if sound:
+        assert report.relations_explored == relations
+    else:
+        assert report.relations_explored <= relations
+    return report
 
 
 def ring_proof(k: int, w: int, flat: bool = False):
@@ -209,73 +249,78 @@ class TestVerdicts:
         report = check_global_soundness(loop2)
         assert report.relations_explored > 0
 
-    @pytest.mark.parametrize("seed", [*range(8_000, 8_030), *range(9_000, 9_040)])
+    @pytest.mark.parametrize("seed", VERDICT_SEEDS)
     def test_matches_reference_closure(self, seed):
-        proof = random_proof(seed)
-        sound, lasso, relations = reference_soundness(proof)
-        report = check_global_soundness(proof)
-        assert (report.sound, report.witness) == (sound, lasso)
-        if sound:
-            assert report.relations_explored == relations
-        else:
-            assert report.relations_explored <= relations
+        check_against_reference(random_proof(seed))
 
-    @pytest.mark.parametrize("seed", range(10_000, 10_040))
+    @pytest.mark.parametrize("seed", MORE_VALUES_SEEDS)
     def test_matches_reference_closure_more_values(self, seed):
-        proof = random_proof(seed, max_nodes=6, max_values=3 + seed % 2)
-        sound, lasso, relations = reference_soundness(proof)
-        report = check_global_soundness(proof)
-        assert (report.sound, report.witness) == (sound, lasso)
-        if sound:
-            assert report.relations_explored == relations
-        else:
-            assert report.relations_explored <= relations
+        check_against_reference(more_values_proof(seed))
+
+    # Least lassos whose cycle starts at a node outside the cut, so the
+    # second closure, from every node, is the one that finds them.
+    @pytest.mark.parametrize(
+        "seed, max_nodes, max_values, cycle, cut",
+        [
+            pytest.param(20_078, 7, 4, ("n1", "n0", "n1", "n0", "n1"), {"n0", "n3"}, id="20078"),
+            pytest.param(20_138, 7, 4, ("n2", "n0", "n2"), {"n0", "n1"}, id="20138"),
+            pytest.param(20_427, 6, 2, ("n1", "n2", "n1"), {"n0", "n2"}, id="20427"),
+            pytest.param(20_439, 8, 2, ("n2", "n5", "n4", "n2"), {"n4"}, id="20439"),
+            pytest.param(20_752, 6, 3, ("n3", "n4", "n3"), {"n4"}, id="20752"),
+        ],
+    )
+    def test_lasso_outside_cut(self, seed, max_nodes, max_values, cycle, cut):
+        proof = random_proof(seed, max_nodes=max_nodes, max_values=max_values)
+        assert _cut_nodes(proof) == cut
+        report = check_against_reference(proof)
+        assert report.witness.cycle == cycle
+
+    # A seeded sweep over larger draws than the ones above.
+    @pytest.mark.parametrize("block", range(10))
+    def test_matches_reference_closure_sweep(self, block):
+        for seed in range(30_000 + 30 * block, 30_030 + 30 * block):
+            check_against_reference(
+                random_proof(seed, max_nodes=5 + seed % 4, max_values=2 + seed % 3)
+            )
 
     # Long witnesses, products shared by thousands of composites, and wide
     # rows: ring(3, 70) has 70 left values, so each row is longer than a
-    # machine word and each coded matrix has 4,900 bits.
+    # machine word and each coded matrix has 4,900 bits.  ``composites``
+    # is the size of the closure from every node; the only cut node is n0,
+    # from which the closure has k + 1 composites.
     @pytest.mark.parametrize("flat", [False, True])
     @pytest.mark.parametrize(
         "k, w, composites", [(12, 2, 233), (40, 2, 2_459), (20, 1, 629), (3, 70, 17)]
     )
     def test_ring_matches_reference_closure(self, k, w, composites, flat):
         proof = ring_proof(k, w, flat)
-        report = check_global_soundness(proof)
-        assert (report.sound, report.witness, report.relations_explored) == (
-            reference_soundness(proof)
-        )
+        assert _cut_nodes(proof) == {"n0"}
+        report = check_against_reference(proof)
         if flat:
             assert len(report.witness.cycle) == k + 1
         else:
-            assert report.relations_explored == composites
+            assert reference_soundness(proof)[2] == composites
+            assert report.relations_explored == k + 1
 
     @pytest.mark.parametrize("index", range(7))
     def test_knot_matches_reference_closure(self, index):
         planted, proof = knots()[index]
-        sound, lasso, _relations = reference_soundness(proof)
-        report = check_global_soundness(proof)
-        assert sound == planted
-        assert (report.sound, report.witness) == (sound, lasso)
+        assert check_against_reference(proof).sound == planted
 
     @pytest.mark.parametrize("sound", [True, False])
     @pytest.mark.parametrize("seed", range(3))
     def test_nine_value_knot_matches_reference_closure(self, seed, sound):
         doc = bench_inputs().knot_doc(random.Random(seed), 14, 9, sound)
-        proof = proof_from_doc(doc)
-        planted, lasso, relations = reference_soundness(proof)
-        report = check_global_soundness(proof)
-        assert planted == sound
-        assert (report.sound, report.witness) == (sound, lasso)
-        if sound:
-            assert report.relations_explored == relations
+        assert check_against_reference(proof_from_doc(doc)).sound == sound
 
     def test_knot_relation_counts(self):
-        # Sound knots explore the whole closure, so equal counts show the
-        # coding keeps composites apart exactly when the triples differ;
-        # unsound knots stop at the first length with a bad composite,
-        # where the full closure holds 4,323 to 8,012.
+        # Sound knots explore the whole closure from their 3 to 7 cut
+        # nodes, so equal counts show the coding keeps composites apart
+        # exactly when the triples differ; unsound knots stop at the first
+        # length with a bad composite, where the full closure from the cut
+        # nodes holds 2,172 to 3,703.
         counts = [check_global_soundness(proof).relations_explored for _, proof in knots()]
-        assert counts[0::2] == [1_240, 6_238, 2_368, 4_498]
+        assert counts[0::2] == [415, 2_159, 1_072, 860]
         assert all(count <= 30 for count in counts[1::2]), counts
 
     @pytest.mark.parametrize("seed", range(30))
@@ -290,8 +335,11 @@ class TestVerdicts:
 
 
 class TestClosureRecord:
-    """The DEBUG record of the closure: the composites found, the distinct
-    relations numbered and the (relation, edge) products composed."""
+    """The DEBUG record of each closure run: the composites found, the
+    distinct relations numbered, the (relation, edge) products composed
+    and the start nodes.  A sound proof logs the run from its cut nodes;
+    an unsound one also logs the run from every node that finds its
+    lasso."""
 
     def records(self, caplog, proof) -> list[tuple]:
         caplog.set_level(logging.DEBUG, logger="cep.soundness")
@@ -300,15 +348,21 @@ class TestClosureRecord:
         return [r.args for r in caplog.records if r.msg.startswith("composition closure")]
 
     def test_loop2(self, caplog, loop2):
-        assert self.records(caplog, loop2) == [(8, 2, 4)]
+        assert self.records(caplog, loop2) == [(3, 1, 3, 1)]
+
+    def test_unsound1_logs_lasso_lookup(self, caplog, unsound1):
+        assert self.records(caplog, unsound1) == [(1, 1, 0, 1), (1, 1, 0, 1)]
+
+    def test_unsound_knot_logs_lasso_lookup(self, caplog):
+        assert self.records(caplog, knots()[1][1]) == [(10, 10, 0, 6), (22, 20, 0, 15)]
 
     def test_sound_knots(self, caplog):
         records = [self.records(caplog, proof) for _, proof in knots()[0::2]]
         assert records == [
-            [(1_240, 239, 549)],
-            [(6_238, 890, 3_257)],
-            [(2_368, 504, 1_298)],
-            [(4_498, 419, 1_938)],
+            [(415, 93, 245, 3)],
+            [(2_159, 381, 1_510, 6)],
+            [(1_072, 339, 971, 7)],
+            [(860, 131, 767, 3)],
         ]
 
 
@@ -327,6 +381,53 @@ def node_cycles(proof, max_len):
                 if len(nodes) < max_len:
                     queue.append(nodes + (child,))
     return out
+
+
+def cut_cases():
+    """(case id, proof factory) for the fixtures, the rings, the knots and
+    the random draws of TestVerdicts."""
+    cases = [
+        (name, functools.partial(load_fixture, name))
+        for name in ("loop2", "unsound1", "strict2", "unbalanced3", "ambig1")
+    ]
+    for k, w in [(12, 2), (40, 2), (20, 1), (3, 70)]:
+        cases.append((f"ring{k}_{w}", functools.partial(ring_proof, k, w)))
+    for index in range(7):
+        cases.append((f"knot{index}", lambda index=index: knots()[index][1]))
+    for seed in VERDICT_SEEDS:
+        cases.append((f"seed{seed}", functools.partial(random_proof, seed)))
+    for seed in MORE_VALUES_SEEDS:
+        cases.append((f"seed{seed}", functools.partial(more_values_proof, seed)))
+    return [pytest.param(make, id=case) for case, make in cases]
+
+
+class TestCutNodes:
+    @pytest.mark.parametrize("make", cut_cases())
+    def test_cut_meets_every_cycle(self, make):
+        proof = make()
+        cut = _cut_nodes(proof)
+        # Rooted cycles up to 8 nodes long, and every cycle of the rings.
+        for cycle in node_cycles(proof, min(len(proof.nodes), 8)):
+            assert cut & set(cycle), cycle
+        for node in cut:
+            children = proof.node(node).children
+            assert node in closure(children, lambda v: proof.node(v).children)
+
+    def test_acyclic_proof_has_no_cut(self):
+        # loop2 with the back edge n1 -> n0 turned into an edge n0 -> n2.
+        doc = fixture_doc("loop2")
+        doc["nodes"][0]["children"] = ["n1", "n2"]
+        doc["nodes"][1]["children"] = ["n2"]
+        for entry in doc["delta"]:
+            if entry["from"] == "n1" and entry["child_index"] == 0:
+                entry["from"], entry["child_index"] = "n0", 1
+            elif entry["from"] == "n1":
+                entry["child_index"] = 0
+        proof = proof_from_doc(doc)
+        assert node_cycles(proof, len(proof.nodes)) == []
+        assert _cut_nodes(proof) == set()
+        report = check_global_soundness(proof)
+        assert (report.sound, report.relations_explored) == (True, 0)
 
 
 def cycle_relation(proof, cycle):
