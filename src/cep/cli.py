@@ -335,7 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CEP_LOG", "WARNING").upper())
+    level = os.environ.get("CEP_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: CEP_LOG: unknown logging level {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

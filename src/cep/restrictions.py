@@ -13,8 +13,9 @@ enumeration: a zero-size simple cycle exists iff the zero-weight subgraph
 of (node, value) pairs has a cycle, and binary balance holds iff the
 difference weights admit a consistent potential on every strongly
 connected component of the paired (node, value, value) graph.  Both graphs
-are built from :func:`cep.traces.steps` (one and two trace values), and
-the potential and the unbalanced witness cycle come from
+are built from :func:`cep.traces.steps` (one and two trace values).  The
+zero-size witness is the first back edge :func:`cep.traces.back_edges`
+yields, and the potential and the unbalanced witness cycle come from
 :func:`cep.traces.bfs_tree` paths.  Literal enumeration stays available in
 the traces module and backs the tests.
 """
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 from .ordinal import ZERO, Ordinal
 from .proofgraph import LEFT, RIGHT, Proof
-from .traces import bfs_tree, reachable_pairs, sccs, steps, tree_path, walk_json
+from .traces import back_edges, bfs_tree, reachable_pairs, sccs, steps
+from .traces import tree_path, walk_json
 
 __all__ = [
     "Thresholds",
@@ -109,35 +111,15 @@ def _finitely_progressing(proof: Proof, reach) -> RestrictionReport:
 
 def _zero_subgraph_cycle(proof: Proof, side: str, restrict) -> list | None:
     """A cycle of zero-weight trace steps within the restricted pairs,
-    as an alternating witness, or None."""
+    as an alternating witness, or None: the path of the first back edge of
+    a depth-first search, from its target."""
     succ: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for a in restrict:
         targets = [b for b, (weight,) in steps(proof, side, a) if weight.is_zero()]
         if targets:
             succ[a] = targets
-    # A depth-first search whose stack is the current path: an edge back
-    # onto the path closes a cycle, the stack slice from its target.
-    on_path: set[tuple[str, str]] = set()
-    done: set[tuple[str, str]] = set()
-    for start in sorted(succ):
-        if start in done:
-            continue
-        stack = [(start, iter(succ[start]))]
-        on_path.add(start)
-        while stack:
-            state, it = stack[-1]
-            for nxt in it:
-                if nxt in on_path:
-                    path = [vertex for vertex, _it in stack]
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in done:
-                    on_path.add(nxt)
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    break
-            else:
-                on_path.remove(state)
-                done.add(state)
-                stack.pop()
+    for path, target in back_edges(sorted(succ), lambda a: succ.get(a, ())):
+        return path[path.index(target):] + [target]
     return None
 
 

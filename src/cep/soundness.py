@@ -49,17 +49,21 @@ infinitely progressing trace; a down loop ``(u, u, down)`` in ``S``
 would give one, so ``(f, f, S)`` is a bad composite from ``f``.  The
 closure from the cut nodes thus finds a bad composite exactly when the
 closure from every node does.  Only then is the closure run again from
-every node, for the least bad witness.
+every node, for the least bad witness.  That run reads the tables the
+first one made, the edge relations, relation numbers, bad checks and
+products, so its ``composition closure`` DEBUG record counts the
+relations and products of both runs; keys and witness order do not
+depend on relation numbers, so the lasso is the one a fresh run finds.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 from .proofgraph import LEFT, Proof
-from .traces import bfs_tree, tree_path
+from .traces import back_edges, bfs_tree, tree_path
 
 log = logging.getLogger("cep.soundness")
 
@@ -134,41 +138,19 @@ def _is_bad(rel: tuple[int, int], n: int, ones: int, diag: int) -> bool:
 def _cut_nodes(proof: Proof) -> set[str]:
     """The targets of the back edges of a depth-first search that starts
     at each node in sorted order and reads children in sorted order."""
-    on_path: dict[str, bool] = {}  # node -> still on the search path
-    cut = set()
-
-    def children(node: str):
-        return iter(sorted(set(proof.node(node).children)))
-
-    for root in sorted(proof.nodes):
-        if root in on_path:
-            continue
-        on_path[root] = True
-        work = [(root, children(root))]
-        while work:
-            node, rest = work[-1]
-            for child in rest:
-                if child not in on_path:
-                    on_path[child] = True
-                    work.append((child, children(child)))
-                    break
-                if on_path[child]:
-                    cut.add(child)
-            else:
-                work.pop()
-                on_path[node] = False
-    return cut
+    children = {node: sorted(set(n.children)) for node, n in proof.nodes.items()}
+    return {target for _path, target in back_edges(sorted(children), children.get)}
 
 
-def _closure(
-    proof: Proof, sources: Collection[str]
-) -> tuple[int, tuple[str, ...] | None]:
-    """The number of path composites of edge relations that start at a
-    node of ``sources``, and the least bad witness among them or ``None``.
-    A composite is keyed ``(src, dst, relation number)`` and keeps the key
-    it was first reached from, which sorted child order makes
-    deterministic.  The witnesses of one level have one length, so their
-    least in tuple order is the least by (length, path).
+def _closure(proof: Proof) -> Callable[[Collection[str]], tuple]:
+    """A closure run over one proof, reading the edge relations, relation
+    numbers, bad checks and (relation, edge) products that every run
+    shares.  A run from ``sources`` returns the number of path composites
+    that start at a node of ``sources``, and the least bad witness among
+    them or ``None``.  A composite is keyed ``(src, dst, relation
+    number)`` and keeps the key it was first reached from, which sorted
+    child order makes deterministic.  The witnesses of one level have one
+    length, so their least in tuple order is the least by (length, path).
     """
     width, ones, diag, base = _edge_relations(proof)
     rels: list[tuple] = []
@@ -180,13 +162,6 @@ def _closure(
             rels.append(rel)
         return numbers[rel]
 
-    def witness(key: tuple) -> tuple[str, ...]:
-        tail = []
-        while pred[key] is not None:
-            tail.append(key[1])
-            key = pred[key]
-        return key[:2] + tuple(reversed(tail))
-
     bad_of: dict[int, bool] = {}
 
     def is_bad(n: int) -> bool:
@@ -196,34 +171,45 @@ def _closure(
 
     # node -> [(child, rows of the edge relation, {relation number: product number})]
     succ: dict[str, list] = {}
-    pred = {
-        (parent, child, number(rel)): None
-        for (parent, child), rel in base.items()
-        if parent in sources
-    }
-    level = list(pred)
-    while level:
-        bad = [key for key in level if key[0] == key[1] and is_bad(key[2])]
-        if bad:
-            break
-        longer = []
-        for key in level:
-            src, mid, n = key
-            if mid not in succ:
-                children = sorted(set(proof.node(mid).children))
-                succ[mid] = [(c, _rows(base[(mid, c)], width), {}) for c in children]
-            for child, rows, products in succ[mid]:
-                if n not in products:
-                    products[n] = number(_compose(rels[n], rows, ones))
-                new = (src, child, products[n])
-                if new not in pred:
-                    pred[new] = key
-                    longer.append(new)
-        level = longer
-    log.debug("composition closure: %d path relations, %d relations, %d products, "
-              "%d start nodes", len(pred), len(rels),
-              sum(len(p) for e in succ.values() for _, _, p in e), len(sources))
-    return len(pred), min(map(witness, bad)) if level else None
+
+    def run(sources: Collection[str]) -> tuple[int, tuple[str, ...] | None]:
+        def witness(key: tuple) -> tuple[str, ...]:
+            tail = []
+            while pred[key] is not None:
+                tail.append(key[1])
+                key = pred[key]
+            return key[:2] + tuple(reversed(tail))
+
+        pred = {
+            (parent, child, number(rel)): None
+            for (parent, child), rel in base.items()
+            if parent in sources
+        }
+        level = list(pred)
+        while level:
+            bad = [key for key in level if key[0] == key[1] and is_bad(key[2])]
+            if bad:
+                break
+            longer = []
+            for key in level:
+                src, mid, n = key
+                if mid not in succ:
+                    children = sorted(set(proof.node(mid).children))
+                    succ[mid] = [(c, _rows(base[(mid, c)], width), {}) for c in children]
+                for child, rows, products in succ[mid]:
+                    if n not in products:
+                        products[n] = number(_compose(rels[n], rows, ones))
+                    new = (src, child, products[n])
+                    if new not in pred:
+                        pred[new] = key
+                        longer.append(new)
+            level = longer
+        log.debug("composition closure: %d path relations, %d relations, %d products, "
+                  "%d start nodes", len(pred), len(rels),
+                  sum(len(p) for e in succ.values() for _, _, p in e), len(sources))
+        return len(pred), min(map(witness, bad)) if level else None
+
+    return run
 
 
 def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
@@ -238,10 +224,11 @@ def _shortest_root_path(proof: Proof, target: str) -> tuple[str, ...]:
 def check_global_soundness(proof: Proof) -> SoundnessReport:
     """Verdict plus, when unsound, a lasso (prefix path, cycle path) on
     which no left-hand trace progresses infinitely often."""
-    count, cycle = _closure(proof, _cut_nodes(proof))
+    closure = _closure(proof)
+    count, cycle = closure(_cut_nodes(proof))
     if cycle is None:
         return SoundnessReport(sound=True, witness=None, relations_explored=count)
-    _count, cycle = _closure(proof, proof.nodes)
+    _count, cycle = closure(proof.nodes)
     return SoundnessReport(
         sound=False,
         witness=Lasso(prefix=_shortest_root_path(proof, cycle[0]), cycle=cycle),

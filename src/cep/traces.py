@@ -12,7 +12,8 @@ The graph primitives shared with the automata, the restriction checks and
 soundness live here too: :func:`closure` (every vertex reachable from a
 set of starts), :func:`bfs` (the one parent-pointer breadth-first
 search, streamed), :func:`bfs_tree` (its whole tree), :func:`tree_path`
-(the witness path to a vertex of the tree) and :func:`sccs` (iterative
+(the witness path to a vertex of the tree), :func:`back_edges` (the one
+back-edge depth-first search, streamed) and :func:`sccs` (iterative
 Tarjan over any hashable vertices).
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "bfs",
     "bfs_tree",
     "tree_path",
+    "back_edges",
     "sccs",
 ]
 
@@ -317,6 +319,30 @@ def tree_path(tree: dict, target) -> list[tuple]:
         target = parent
     path.reverse()
     return path
+
+
+def back_edges(roots, successors):
+    """A depth-first search from each of ``roots`` not yet reached, reading
+    ``successors(v)`` in the order given: yields ``(path, target)`` for each
+    edge from the end of ``path``, the live search stack, back to a
+    ``target`` on it.  Every cycle holds such a back edge (Tarjan, SIAM J.
+    Comput. 1972), so the targets meet every cycle."""
+    on_path: dict = {}  # vertex -> still on the search path
+    path: list = []
+    work = [iter(roots)]  # the roots, then each path vertex's unread successors
+    while work:
+        for target in work[-1]:
+            if target not in on_path:
+                on_path[target] = True
+                path.append(target)
+                work.append(iter(successors(target)))
+                break
+            if on_path[target]:
+                yield path, target
+        else:
+            work.pop()
+            if path:
+                on_path[path.pop()] = False
 
 
 def sccs(edges: dict) -> list[list]:

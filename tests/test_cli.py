@@ -78,6 +78,29 @@ class TestExitCodes:
         assert parameters == {"lag_cap": 64, "caps": [1], "clamped": False}
 
     @pytest.mark.parametrize(
+        "level, code, stderr",
+        [
+            ("verbose", 2, "error: CEP_LOG: unknown logging level 'VERBOSE'\n"),
+            ("10", 2, "error: CEP_LOG: unknown logging level '10'\n"),
+            ("debug", 0, "DEBUG:cep.soundness:composition closure: 3 path relations"),
+        ],
+        ids=["unknown", "number", "debug"],
+    )
+    def test_cep_log_takes_a_level_name(self, level, code, stderr):
+        # A fresh interpreter: under pytest the root logger already has
+        # handlers, so logging.basicConfig would not read the level at all.
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_EACH, json.dumps([["soundness", LOOP2]])],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), CEP_LOG=level),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0
+        assert done.stdout.endswith(f"\0{code}\0")
+        assert done.stderr.startswith(stderr)
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
         "flat_cycle, extra",
         [
             (False, ["--lag-cap", "0"]),

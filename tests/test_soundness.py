@@ -339,7 +339,8 @@ class TestClosureRecord:
     distinct relations numbered, the (relation, edge) products composed
     and the start nodes.  A sound proof logs the run from its cut nodes;
     an unsound one also logs the run from every node that finds its
-    lasso."""
+    lasso, which reads the first run's tables, so its relations and
+    products count those of both runs."""
 
     def records(self, caplog, proof) -> list[tuple]:
         caplog.set_level(logging.DEBUG, logger="cep.soundness")
@@ -355,6 +356,24 @@ class TestClosureRecord:
 
     def test_unsound_knot_logs_lasso_lookup(self, caplog):
         assert self.records(caplog, knots()[1][1]) == [(10, 10, 0, 6), (22, 20, 0, 15)]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: load_fixture("unsound1"), lambda: knots()[1][1]],
+        ids=["unsound1", "knot1"],
+    )
+    def test_one_table_set_per_call(self, monkeypatch, make):
+        # The lasso run reads the cut-node run's tables.
+        proof = make()
+        calls = []
+
+        def counted(arg):
+            calls.append(arg)
+            return _edge_relations(arg)
+
+        monkeypatch.setattr("cep.soundness._edge_relations", counted)
+        assert not check_global_soundness(proof).sound
+        assert calls == [proof]
 
     def test_sound_knots(self, caplog):
         records = [self.records(caplog, proof) for _, proof in knots()[0::2]]

@@ -8,7 +8,9 @@ import pytest
 from cep.ordinal import OMEGA, ZERO, Ordinal, ord_add
 from cep.proofgraph import validate
 from cep.traces import (
+    back_edges,
     classify_right_trace,
+    closure,
     enumerate_right_maximal,
     follows,
     prog_points,
@@ -361,3 +363,58 @@ class TestSccs:
         edges = {("n", i): [("n", i + 1)] for i in range(5_000)}
         edges[("n", 5_000)] = [("n", 0)]
         assert sccs(edges) == [sorted(edges)]
+
+
+class TestBackEdges:
+    def search(self, edges, roots):
+        """The yielded edges, each path copied, and the vertices whose
+        successors the search read, in the order it read them."""
+        read = []
+
+        def successors(v):
+            read.append(v)
+            return edges[v]
+
+        found = [(list(path), target) for path, target in back_edges(roots, successors)]
+        return found, read
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_graphs(self, seed):
+        edges = random_graph(seed)
+        rng = random.Random(seed)
+        # Every vertex in a shuffled order, then some again.
+        roots = rng.sample(list(edges), len(edges))
+        roots += rng.sample(roots, len(roots) // 2)
+        found, read = self.search(edges, roots)
+        # Each path is a path of the graph from a root, and its last vertex
+        # steps back to a vertex on it.
+        for path, target in found:
+            assert path[0] in roots
+            assert all(w in edges[v] for v, w in zip(path, path[1:]))
+            assert target in edges[path[-1]]
+            assert target in path
+        # The targets meet every cycle: without them no component of more
+        # than one vertex, and no self-loop, is left.
+        cut = {target for _path, target in found}
+        rest = {
+            v: [w for w in targets if w not in cut]
+            for v, targets in edges.items()
+            if v not in cut
+        }
+        for comp in sccs(rest):
+            assert len(comp) == 1 and comp[0] not in rest[comp[0]]
+        # Every target lies on a cycle.
+        for target in cut:
+            assert target in closure(edges[target], edges.__getitem__)
+        # Each vertex is searched once, and a search starts only at a root
+        # that no earlier root reaches.
+        assert len(read) == len(set(read)) == len(edges)
+        for path, _target in found:
+            earlier = roots[: roots.index(path[0])]
+            assert path[0] not in closure(earlier, edges.__getitem__)
+
+    def test_long_cycle_is_iterative(self):
+        edges = {("n", i): [("n", i + 1)] for i in range(5_000)}
+        edges[("n", 5_000)] = [("n", 0)]
+        found, _read = self.search(edges, sorted(edges))
+        assert found == [(sorted(edges), ("n", 0))]
